@@ -29,6 +29,7 @@
 
 use kgq_bench::timed;
 use kgq_core::parallel::set_threads;
+use kgq_core::Governor;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
 use kgq_rdf::bgp::{Bgp, Binding};
 use kgq_rdf::{labeled_to_rdf, lftj, StoreSketch, TripleStore};
@@ -138,11 +139,18 @@ fn run_case(store: &'static str, st: &mut TripleStore, family: &'static str, rep
         panic!("sketch plan failed verification ({store}, {family}): {e}");
     }
     let agree = sp.plan.vars == gplan.vars;
+    // Single-partition runs under one fresh unlimited governor each, as
+    // one request gets.
+    let run = |plan: &lftj::Plan| {
+        lftj::solve_planned_governed(st, &q, plan, 1, &Governor::unlimited()).map(|r| r.value)
+    };
 
     // Parity first: timing a wrong answer is worthless. Both planners'
     // orders must reproduce the backtracking oracle as a multiset.
-    let greedy_run = lftj::solve_planned(st, &q, &gplan, 1);
-    let sketch_run = lftj::solve_planned(st, &q, &sp.plan, 1);
+    let (greedy_run, sketch_run) = match (run(&gplan), run(&sp.plan)) {
+        (Ok(g), Ok(s)) => (g, s),
+        (g, s) => panic!("LFTJ run failed ({store}, {family}): {:?}", g.and(s).err()),
+    };
     let oracle = canon(q.solve_baseline(st));
     assert_eq!(
         canon(greedy_run.bindings()),
@@ -156,13 +164,13 @@ fn run_case(store: &'static str, st: &mut TripleStore, family: &'static str, rep
     );
     let rows = greedy_run.rows.len();
 
-    let t_greedy = median_secs(|| lftj::solve_planned(st, &q, &gplan, 1).rows.len(), reps);
+    let t_greedy = median_secs(|| run(&gplan).map_or(0, |s| s.rows.len()), reps);
     // Identical orders execute identically — reuse the measurement so
     // timer noise cannot fake a planner gap in either direction.
     let t_sketch = if agree {
         t_greedy
     } else {
-        median_secs(|| lftj::solve_planned(st, &q, &sp.plan, 1).rows.len(), reps)
+        median_secs(|| run(&sp.plan).map_or(0, |s| s.rows.len()), reps)
     };
     let t_baseline = median_secs(|| q.solve_baseline(st).len(), reps);
 

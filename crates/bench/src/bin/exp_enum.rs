@@ -6,7 +6,7 @@
 //! time-to-first-answer should be far below materializing everything.
 
 use kgq_bench::{fmt_duration, print_table, timed};
-use kgq_core::{count_paths, parse_expr, LabeledView, PathEnumerator};
+use kgq_core::{parse_expr, ExactCounter, LabeledView, PathEnumerator};
 use kgq_graph::generate::gnm_labeled;
 use std::time::{Duration, Instant};
 
@@ -21,7 +21,7 @@ fn main() {
         let mut g = gnm_labeled(n, m, &["a"], &["p", "q"], 11);
         let expr = parse_expr("(p+q)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let total = count_paths(&view, &expr, k).unwrap();
+        let total = ExactCounter::new(&view, &expr).count(k).unwrap();
 
         let (mut it, prep) = timed(|| PathEnumerator::new(&view, &expr, k));
         // Time to first answer.

@@ -6,7 +6,7 @@
 //! very high probability, in time polynomial in `1/ε`.
 
 use kgq_bench::{fmt_duration, mean, percentile, print_table, timed};
-use kgq_core::{approx_count, count_paths, parse_expr, ApproxParams, LabeledView};
+use kgq_core::{approx_count, parse_expr, ApproxParams, ExactCounter, LabeledView};
 use kgq_graph::generate::gnm_labeled;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     println!("G(14, 36), r = (p + p/p)* (ambiguous: every run of p-edges parses many ways)");
     let view = LabeledView::new(&g);
     let k = 5;
-    let exact = count_paths(&view, &expr, k).unwrap();
+    let exact = ExactCounter::new(&view, &expr).count(k).unwrap();
     println!("k = {k}, exact Count = {exact}");
 
     let trials_per_eps: u32 = 24;

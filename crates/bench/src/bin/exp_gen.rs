@@ -8,7 +8,7 @@
 
 use kgq_bench::{fmt_duration, print_table, timed};
 use kgq_core::{
-    enumerate_paths, parse_expr, ApproxCounter, ApproxParams, LabeledView, Path, UniformSampler,
+    parse_expr, ApproxCounter, ApproxParams, LabeledView, Path, PathEnumerator, UniformSampler,
 };
 use kgq_graph::generate::gnm_labeled;
 use rand::rngs::StdRng;
@@ -34,7 +34,7 @@ fn main() {
     let expr = parse_expr("(p+q)*", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
     let k = 3;
-    let answers = enumerate_paths(&view, &expr, k);
+    let answers: Vec<Path> = PathEnumerator::new(&view, &expr, k).collect();
     let c = answers.len();
     println!("G(12,26), r=(p+q)*, k={k}: {c} answers");
     let draws = 300 * c;

@@ -7,12 +7,12 @@
 //! `(start, end)` pair sets; the join pipeline materializes every
 //! intermediate pair set, which is where its cost explodes.
 
-use kgq_bench::{fmt_duration, print_table, timed};
-use kgq_core::{parse_expr, Evaluator, LabeledView};
+use kgq_bench::{fmt_duration, print_table, timed, unlimited_pairs};
+use kgq_core::{parse_expr, EvalError, LabeledView};
 use kgq_graph::generate::gnm_labeled;
 use kgq_relbase::rpq_join_pairs;
 
-fn main() {
+fn main() -> Result<(), EvalError> {
     let mut g = gnm_labeled(300, 1500, &["v"], &["p", "q"], 17);
     println!(
         "G({}, {}), uniform labels p/q",
@@ -26,10 +26,11 @@ fn main() {
         let view = LabeledView::new(&g);
         let (joined, t_join) = timed(|| rpq_join_pairs(&view, &expr).unwrap());
         let (native, t_native) = timed(|| {
-            let mut pairs = Evaluator::new(&view, &expr).pairs();
+            let mut pairs = unlimited_pairs(&view, &expr)?;
             pairs.sort_unstable();
-            pairs
+            Ok::<_, EvalError>(pairs)
         });
+        let native = native?;
         assert_eq!(joined, native, "len={len}");
         rows.push(vec![
             text,
@@ -47,10 +48,11 @@ fn main() {
     let view = LabeledView::new(&g);
     let (joined, t_join) = timed(|| rpq_join_pairs(&view, &expr).unwrap());
     let (native, t_native) = timed(|| {
-        let mut pairs = Evaluator::new(&view, &expr).pairs();
+        let mut pairs = unlimited_pairs(&view, &expr)?;
         pairs.sort_unstable();
-        pairs
+        Ok::<_, EvalError>(pairs)
     });
+    let native = native?;
     assert_eq!(joined, native);
     rows.push(vec![
         "(p)*".to_owned(),
@@ -73,4 +75,5 @@ fn main() {
          engine's with the product size — the §2.2 motivation for graph \
          databases."
     );
+    Ok(())
 }

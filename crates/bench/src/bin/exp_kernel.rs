@@ -5,10 +5,11 @@
 //! For each graph (Erdős–Rényi n=2000 m=10000, Barabási–Albert n=2000)
 //! and three representative RPQs, the experiment measures wall time of
 //!
-//! * all-pairs evaluation: kernel [`Evaluator::pairs`] (64 BFS sources
-//!   per sweep) vs per-source [`Evaluator::pairs_sequential`];
-//! * start extraction: [`Evaluator::matching_starts`] vs its sequential
-//!   reference;
+//! * all-pairs evaluation: kernel [`Evaluator::pairs_governed`] (64 BFS
+//!   sources per sweep, under an unlimited governor, as every caller
+//!   runs it) vs per-source [`Evaluator::pairs_sequential`];
+//! * start extraction: [`Evaluator::matching_starts_governed`] vs its
+//!   sequential reference;
 //! * point lookups: bidirectional [`Evaluator::check`] vs a forward
 //!   BFS baseline (`ends_from(a).contains(b)`);
 //!
@@ -21,10 +22,11 @@
 use kgq_bench::timed;
 use kgq_core::parallel::set_threads;
 use kgq_core::product::Product;
-use kgq_core::{parse_expr, Evaluator, LabeledView, Nfa, PathExpr};
+use kgq_core::{parse_expr, Evaluator, Governor, LabeledView, Nfa, PathExpr};
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
 use kgq_graph::{LabeledGraph, NodeId};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn median_secs<T>(mut f: impl FnMut() -> T, reps: usize) -> f64 {
@@ -60,21 +62,28 @@ fn run_case(graph: &'static str, g: &LabeledGraph, expr_text: &str, reps: usize)
     let raw_states = raw_product.state_count();
     let min_states = min_product.state_count();
 
-    let ev = Evaluator::new(&view, &expr);
+    // The evaluator every caller compiles: the minimized product.
+    let ev = Evaluator::from_product(Arc::new(min_product));
+    // One fresh unlimited governor per run, as one request gets.
+    let kernel_pairs = || ev.pairs_governed(&Governor::unlimited()).map(|r| r.value);
+    let kernel_starts = || {
+        ev.matching_starts_governed(&Governor::unlimited())
+            .map(|r| r.value)
+    };
 
     // Parity self-checks first: the kernel answers must be byte-identical
     // to the per-source references before any of them is worth timing.
     let reference_pairs = ev.pairs_sequential();
     assert_eq!(
-        ev.pairs(),
-        reference_pairs,
-        "kernel pairs() diverged from the sequential reference ({graph}, {expr_text})"
+        kernel_pairs().ok().as_ref(),
+        Some(&reference_pairs),
+        "kernel pairs diverged from the sequential reference ({graph}, {expr_text})"
     );
     let reference_starts = ev.matching_starts_sequential();
     assert_eq!(
-        ev.matching_starts(),
-        reference_starts,
-        "kernel matching_starts() diverged ({graph}, {expr_text})"
+        kernel_starts().ok().as_ref(),
+        Some(&reference_starts),
+        "kernel matching_starts diverged ({graph}, {expr_text})"
     );
 
     // Point-lookup workload: a deterministic spread of (a, b) pairs.
@@ -91,9 +100,9 @@ fn run_case(graph: &'static str, g: &LabeledGraph, expr_text: &str, reps: usize)
         );
     }
 
-    let t_pairs_kernel = median_secs(|| ev.pairs().len(), reps);
+    let t_pairs_kernel = median_secs(|| kernel_pairs().map_or(0, |p| p.len()), reps);
     let t_pairs_baseline = median_secs(|| ev.pairs_sequential().len(), reps);
-    let t_starts_kernel = median_secs(|| ev.matching_starts().len(), reps);
+    let t_starts_kernel = median_secs(|| kernel_starts().map_or(0, |s| s.len()), reps);
     let t_starts_baseline = median_secs(|| ev.matching_starts_sequential().len(), reps);
     let t_check_kernel = median_secs(
         || queries.iter().filter(|&&(a, b)| ev.check(a, b)).count(),

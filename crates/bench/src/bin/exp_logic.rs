@@ -8,13 +8,13 @@
 //! naive evaluation scales with `n^{quantifiers}`, the pipeline with the
 //! sizes of binary relations.
 
-use kgq_bench::{fmt_duration, print_table, timed};
-use kgq_core::{matching_starts, parse_expr, LabeledView};
+use kgq_bench::{fmt_duration, print_table, timed, unlimited_starts};
+use kgq_core::{parse_expr, EvalError, LabeledView};
 use kgq_graph::generate::{contact_network, ContactParams};
 use kgq_logic::eval::eval_bounded_stats;
 use kgq_logic::{compile_fo2, compile_wide, eval_naive, Var};
 
-fn main() {
+fn main() -> Result<(), EvalError> {
     let expr_text = "?person/rides/?bus/rides^-/?infected";
     println!("query: {expr_text}");
     let mut rows = Vec::new();
@@ -37,7 +37,8 @@ fn main() {
         let (naive_psi, t_naive_psi) = timed(|| eval_naive(&g, &psi, Var(0)));
         let (naive_phi, t_naive_phi) = timed(|| eval_naive(&g, &phi, Var(0)));
         let view = LabeledView::new(&g);
-        let (rpq, t_rpq) = timed(|| matching_starts(&view, &expr));
+        let (rpq, t_rpq) = timed(|| unlimited_starts(&view, &expr));
+        let rpq = rpq?;
 
         assert_eq!(psi_answers, naive_psi);
         assert_eq!(psi_answers, naive_phi);
@@ -71,4 +72,5 @@ fn main() {
          product-automaton engine stay near-linear — the §4.3 argument for \
          bounded-variable logics."
     );
+    Ok(())
 }

@@ -9,8 +9,8 @@
 //! 3. the WL graph hash cannot separate C6 from 2×C3 — the classic
 //!    limit, shared by every message-passing GNN.
 
-use kgq_bench::print_table;
-use kgq_core::{matching_starts, parse_expr, LabeledView};
+use kgq_bench::{print_table, unlimited_starts};
+use kgq_core::{parse_expr, EvalError, LabeledView};
 use kgq_gnn::builder::{psi_network, PSI_VOCAB};
 use kgq_gnn::{random_network, train, GnnExample, GnnTrainConfig};
 use kgq_gnn::{wl2_graph_hash, wl_colors, wl_graph_hash, AcGnn};
@@ -18,7 +18,7 @@ use kgq_graph::generate::{contact_network, cycle_graph, ContactParams};
 use kgq_graph::LabeledGraph;
 use kgq_logic::{compile_fo2, eval_bounded, Var};
 
-fn main() {
+fn main() -> Result<(), EvalError> {
     // 1. Agreement GNN ≡ FO² ≡ RPQ.
     let mut rows = Vec::new();
     for seed in [1u64, 7, 21, 42] {
@@ -41,7 +41,7 @@ fn main() {
             .map(|n| n.index())
             .collect();
         let view = LabeledView::new(&g);
-        let from_rpq: std::collections::HashSet<usize> = matching_starts(&view, &expr)
+        let from_rpq: std::collections::HashSet<usize> = unlimited_starts(&view, &expr)?
             .into_iter()
             .map(|n| n.index())
             .collect();
@@ -182,4 +182,5 @@ fn main() {
     assert!(correct as f64 / t3.len() as f64 >= 0.8);
 
     println!("\nall §4.3 correspondence checks hold ✓");
+    Ok(())
 }

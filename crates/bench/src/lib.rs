@@ -1,12 +1,46 @@
 //! # kgq-bench — experiment harness
 //!
 //! One binary per experiment of `DESIGN.md` §3 (run with
-//! `cargo run -p kgq-bench --release --bin <exp_id>`), plus criterion
-//! micro-benchmarks under `benches/`. This library hosts the shared
-//! table-printing and timing helpers so every experiment prints the same
-//! kind of aligned, self-describing output recorded in `EXPERIMENTS.md`.
+//! `cargo run -p kgq-bench --release --bin <exp_id>`). This library
+//! hosts the shared table-printing and timing helpers so every
+//! experiment prints the same kind of aligned, self-describing output
+//! recorded in `EXPERIMENTS.md`, plus no-budget shorthands for the
+//! governed query entry points.
 
+use kgq_core::{EvalError, Evaluator, Governor, PathExpr, PathGraph};
+use kgq_graph::NodeId;
+use kgq_rdf::{lftj, Bgp, Binding, TripleStore};
 use std::time::{Duration, Instant};
+
+/// All `(start, end)` pairs of `expr` over `g`, through the governed
+/// entry point under an unlimited governor.
+pub fn unlimited_pairs<G: PathGraph>(
+    g: &G,
+    expr: &PathExpr,
+) -> Result<Vec<(NodeId, NodeId)>, EvalError> {
+    let gov = Governor::unlimited();
+    Ok(Evaluator::new_governed(g, expr, &gov)?
+        .pairs_governed(&gov)?
+        .value)
+}
+
+/// The nodes starting a path matching `expr` over `g`, through the
+/// governed entry point under an unlimited governor.
+pub fn unlimited_starts<G: PathGraph>(g: &G, expr: &PathExpr) -> Result<Vec<NodeId>, EvalError> {
+    let gov = Governor::unlimited();
+    Ok(Evaluator::new_governed(g, expr, &gov)?
+        .matching_starts_governed(&gov)?
+        .value)
+}
+
+/// The bindings of `bgp` over `st` by the leapfrog triejoin (greedy
+/// plan, the configured thread pool) under an unlimited governor.
+pub fn unlimited_bindings(st: &TripleStore, bgp: &Bgp) -> Result<Vec<Binding>, EvalError> {
+    let plan = lftj::plan(st, bgp);
+    let threads = kgq_core::parallel::effective_threads();
+    let res = lftj::solve_planned_governed(st, bgp, &plan, threads, &Governor::unlimited())?;
+    Ok(res.value.bindings())
+}
 
 /// Prints an aligned text table with a header rule.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -29,9 +29,9 @@
 //! 3. **Finiteness & blowup** — the pruned DFA is scanned for a useful
 //!    cycle containing an edge-consuming transition (infinite path
 //!    language); the full automaton's subset-construction size is
-//!    checked against [`MAX_DFA_STATES`]; and the product frontier is
-//!    estimated from the schema's node count and degree statistics to
-//!    pick a [`PlanAdvice`] that [`crate::eval::Evaluator`] consults.
+//!    checked against [`MAX_DFA_STATES`]; and the product size is
+//!    estimated from the schema's node count. Multi-source scans always
+//!    run on the bit-parallel kernel, which `--explain` names as the plan.
 //! 4. **Complexity tagging** — each functionality is labeled with its
 //!    class so `kgq query --explain` can print a verdict table, and a
 //!    `Deny` finding routes exact counting to the FPRAS estimator.
@@ -166,12 +166,12 @@ pub enum Position {
     Edge,
 }
 
-/// The evaluation strategy the analyzer recommends; consulted by
-/// [`crate::eval::Evaluator::pairs_planned`].
+/// The evaluation strategy a report names in its verdict table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlanAdvice {
-    /// Fused sequential product scan: small graphs or tiny products,
-    /// where the bit-parallel kernel's setup cost dominates.
+    /// Plain sequential search: a Cypher match with no reachability
+    /// prefilter (some pattern element is unlabeled) backtracks over
+    /// every candidate start.
     Sequential,
     /// Multi-source sweep over the [`crate::bitkernel::ReachKernel`]
     /// 64-source frontier kernel.
@@ -357,14 +357,6 @@ impl Default for Report {
         Report::new()
     }
 }
-
-/// Node-count threshold under which the bit-parallel kernel's setup cost
-/// is not worth paying (one 64-wide source batch or less).
-const SEQUENTIAL_NODE_CUTOFF: usize = 64;
-
-/// Estimated-product-state threshold under which a fused sequential scan
-/// beats the kernel sweep.
-const SEQUENTIAL_PRODUCT_CUTOFF: u64 = 4096;
 
 /// Three-valued satisfiability of `test` at `pos` against `schema`.
 ///
@@ -808,16 +800,9 @@ pub fn analyze_expr(
         );
     }
 
-    // (c) Plan advice from frontier-cost estimates.
+    // (c) Product-size estimate. Every multi-source scan runs on the
+    // bit-parallel kernel, whatever the graph size.
     let est_product_states = schema.node_count as u64 * dfa_states.max(1) as u64;
-    let plan = if empty
-        || schema.node_count <= SEQUENTIAL_NODE_CUTOFF
-        || est_product_states <= SEQUENTIAL_PRODUCT_CUTOFF
-    {
-        PlanAdvice::Sequential
-    } else {
-        PlanAdvice::BitParallel
-    };
 
     Report {
         diagnostics: diags,
@@ -828,7 +813,7 @@ pub fn analyze_expr(
             dfa_states,
             est_product_states,
         }),
-        plan,
+        plan: PlanAdvice::BitParallel,
         classes: rpq_classes(),
         provably_empty: empty,
     }
@@ -837,7 +822,7 @@ pub fn analyze_expr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::test_support::{all_pairs, compile};
     use crate::model::{LabeledView, PropertyView, VectorView};
     use crate::parser::parse_expr;
     use kgq_graph::figures::{figure2_labeled, figure2_property, figure2_vector};
@@ -855,7 +840,7 @@ mod tests {
         let report = analyze_expr(&e, &schema, Some(("ghost/rides", g.consts())));
         assert!(report.is_provably_empty());
         assert!(report.denied());
-        assert!(Evaluator::new(&LabeledView::new(&g), &e).pairs().is_empty());
+        assert!(all_pairs(&compile(&LabeledView::new(&g), &e)).is_empty());
         let rendered = report.render("ghost/rides");
         assert!(rendered.contains("deny[empty-language]"), "{rendered}");
         assert!(rendered.contains("warn[unsat-test]"), "{rendered}");
@@ -869,7 +854,7 @@ mod tests {
         let schema = SchemaSummary::from_labeled(&g);
         let report = analyze_expr(&e, &schema, Some(("{rides & !rides}", g.consts())));
         assert!(report.is_provably_empty());
-        assert!(Evaluator::new(&LabeledView::new(&g), &e).pairs().is_empty());
+        assert!(all_pairs(&compile(&LabeledView::new(&g), &e)).is_empty());
     }
 
     #[test]
@@ -879,7 +864,7 @@ mod tests {
         let report = analyze_expr(&e, &schema, None);
         // A node has exactly one label, so `person ∧ bus` never holds.
         assert!(report.is_provably_empty());
-        assert!(Evaluator::new(&LabeledView::new(&g), &e).pairs().is_empty());
+        assert!(all_pairs(&compile(&LabeledView::new(&g), &e)).is_empty());
     }
 
     #[test]
@@ -890,7 +875,7 @@ mod tests {
         // ε survives: every node matches the length-0 path.
         assert!(!report.is_provably_empty());
         assert_eq!(
-            Evaluator::new(&LabeledView::new(&g), &e).pairs().len(),
+            all_pairs(&compile(&LabeledView::new(&g), &e)).len(),
             g.node_count()
         );
         // The dead star body is still flagged.
@@ -944,9 +929,7 @@ mod tests {
         let e = parse_expr("[date='2999-01-01']", lg.labeled_mut().consts_mut()).unwrap();
         let report = analyze_expr(&e, &schema, None);
         assert!(report.is_provably_empty());
-        assert!(Evaluator::new(&PropertyView::new(&lg), &e)
-            .pairs()
-            .is_empty());
+        assert!(all_pairs(&compile(&PropertyView::new(&lg), &e)).is_empty());
 
         // Feature tests are constant-false outside the vector model.
         let e2 = parse_expr("[#1='person']", lg.labeled_mut().consts_mut()).unwrap();
@@ -959,16 +942,14 @@ mod tests {
         let e3 = parse_expr("?person", figure2_vector().consts_mut()).unwrap();
         let r3 = analyze_expr(&e3, &vschema, None);
         assert!(!r3.is_provably_empty());
-        assert!(!Evaluator::new(&VectorView::new(&vg), &e3)
-            .pairs()
-            .is_empty());
+        assert!(!all_pairs(&compile(&VectorView::new(&vg), &e3)).is_empty());
     }
 
     #[test]
-    fn plan_advice_scales_with_graph_size() {
+    fn plan_names_the_kernel_at_every_graph_size() {
         let (g, e) = labeled_setup("rides");
         let r = analyze_expr(&e, &SchemaSummary::from_labeled(&g), None);
-        assert_eq!(r.plan, PlanAdvice::Sequential);
+        assert_eq!(r.plan, PlanAdvice::BitParallel);
 
         let mut big = kgq_graph::generate::gnm_labeled(2000, 8000, &["a"], &["p"], 1);
         let ebig = parse_expr("p/p/p", big.consts_mut()).unwrap();

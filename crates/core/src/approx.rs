@@ -408,8 +408,8 @@ pub fn approx_count_amplified<G: PathGraph + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::count_paths;
-    use crate::enumerate::enumerate_paths;
+    use crate::count::ExactCounter;
+    use crate::enumerate::PathEnumerator;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
@@ -437,7 +437,7 @@ mod tests {
             let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
             let view = LabeledView::new(&g);
             for k in [1usize, 3, 5] {
-                let exact = count_paths(&view, &e, k).unwrap();
+                let exact = ExactCounter::new(&view, &e).count(k).unwrap();
                 let est = approx_count(&view, &e, k, &params);
                 let err = relative_error(est, exact);
                 assert!(
@@ -466,7 +466,7 @@ mod tests {
         let e = parse_expr("(next)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         for k in 0..=5 {
-            let exact = count_paths(&view, &e, k).unwrap() as f64;
+            let exact = ExactCounter::new(&view, &e).count(k).unwrap() as f64;
             let est = approx_count(&view, &e, k, &ApproxParams::default());
             assert!((est - exact).abs() < 1e-9, "k={k}: est={est} exact={exact}");
         }
@@ -480,7 +480,7 @@ mod tests {
         let e = parse_expr("(a + a)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let k = 3;
-        let exact = count_paths(&view, &e, k).unwrap();
+        let exact = ExactCounter::new(&view, &e).count(k).unwrap();
         assert_eq!(exact, 3); // three length-3 subpaths of a 5-edge path
         let est = approx_count(&view, &e, k, &ApproxParams::default());
         assert!(relative_error(est, exact) < 0.35, "est={est}");
@@ -492,7 +492,7 @@ mod tests {
         let e = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let counter = ApproxCounter::build(&view, &e, 2, &ApproxParams::default());
-        let answers = enumerate_paths(&view, &e, 2);
+        let answers = PathEnumerator::new(&view, &e, 2).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..60 {
@@ -510,7 +510,7 @@ mod tests {
         let e = parse_expr("(a + a/a)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let k = 4;
-        let exact = count_paths(&view, &e, k).unwrap();
+        let exact = ExactCounter::new(&view, &e).count(k).unwrap();
         let params = ApproxParams {
             trials: Some(128), // deliberately noisy single rounds
             seed: 100,
@@ -547,7 +547,7 @@ mod tests {
         let e = parse_expr("(p+q/q^-)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let k = 4;
-        let exact = count_paths(&view, &e, k).unwrap();
+        let exact = ExactCounter::new(&view, &e).count(k).unwrap();
         let mut errs = Vec::new();
         for trials in [64usize, 4096] {
             // Average error over a few seeds for stability.

@@ -131,18 +131,10 @@ impl ReachKernel {
 
     /// One bit-parallel pass: the reachability bit-matrix for up to
     /// [`BATCH`] sources (bit `j` of word `s` ⇔ product state `s` is
-    /// reachable from `sources[j]`'s initial states).
-    pub fn sweep(&self, p: &Product, sources: &[NodeId]) -> Vec<u64> {
-        match self.sweep_impl(p, sources, None) {
-            Ok(v) => v,
-            Err(i) => unreachable!("ungoverned sweep interrupted: {i}"),
-        }
-    }
-
-    /// Governed [`ReachKernel::sweep`]: charges the bit-matrix to the
-    /// memory budget (caller releases via [`ReachKernel::release_sweep`])
-    /// and ticks the step budget per successor-mask merge, batched
-    /// through [`Ticker`].
+    /// reachable from `sources[j]`'s initial states). Charges the
+    /// bit-matrix to the memory budget (caller releases via
+    /// [`ReachKernel::release_sweep`]) and one step per successor-mask
+    /// merge, charged at the end of each frontier round.
     pub fn sweep_governed(
         &self,
         p: &Product,
@@ -150,23 +142,9 @@ impl ReachKernel {
         gov: &Governor,
     ) -> Result<Vec<u64>, Interrupt> {
         gov.charge_memory(SWEEP_BYTES_PER_STATE * self.state_count() as u64)?;
-        self.sweep_impl(p, sources, Some(gov))
-    }
-
-    /// Returns the memory charged by [`ReachKernel::sweep_governed`].
-    pub fn release_sweep(&self, gov: &Governor) {
-        gov.release_memory(SWEEP_BYTES_PER_STATE * self.state_count() as u64);
-    }
-
-    fn sweep_impl(
-        &self,
-        p: &Product,
-        sources: &[NodeId],
-        gov: Option<&Governor>,
-    ) -> Result<Vec<u64>, Interrupt> {
         debug_assert!(sources.len() <= BATCH, "more than {BATCH} sources");
         let n = self.state_count();
-        let mut ticker = Ticker::maybe(gov);
+        let mut ticker = Ticker::new(gov);
         let mut visited = vec![0u64; n];
         // Bits set but not yet propagated; a state is on the frontier iff
         // its pending word is non-zero. Propagation is round-synchronized
@@ -191,7 +169,7 @@ impl ReachKernel {
                 }
             }
         }
-        let governed = gov.is_some();
+        let mut merges: u64 = 0;
         while !frontier.is_empty() {
             for idx in 0..frontier.len() {
                 let s = frontier[idx];
@@ -201,14 +179,7 @@ impl ReachKernel {
                     continue;
                 }
                 let succ = self.succ(s);
-                // Keep the ungoverned hot loop free of accounting, and
-                // charge governed runs one state at a time (its whole
-                // out-degree in one consult) rather than per edge — the
-                // per-edge branch costs real time at millions of
-                // expansions.
-                if governed {
-                    ticker.tick_n(succ.len() as u32)?;
-                }
+                merges += succ.len() as u64;
                 for &s2 in succ {
                     let add = bits & !visited[s2 as usize];
                     if add != 0 {
@@ -220,6 +191,11 @@ impl ReachKernel {
                     }
                 }
             }
+            // Charge the round's merges at its end: a per-state (let alone
+            // per-edge) tick costs measurable time on small products, and
+            // a budget trip drops the whole batch anyway.
+            ticker.tick_n(u32::try_from(merges).unwrap_or(u32::MAX))?;
+            merges = 0;
             frontier.clear();
             std::mem::swap(&mut frontier, &mut next);
             // States fed new bits by a same-round neighbour after they
@@ -229,6 +205,11 @@ impl ReachKernel {
         }
         ticker.flush()?;
         Ok(visited)
+    }
+
+    /// Returns the memory charged by [`ReachKernel::sweep_governed`].
+    pub fn release_sweep(&self, gov: &Governor) {
+        gov.release_memory(SWEEP_BYTES_PER_STATE * self.state_count() as u64);
     }
 
     /// Per-source end nodes from a sweep's bit-matrix: for each batch
@@ -416,17 +397,25 @@ impl ReachKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::test_support::compile;
     use crate::eval::Evaluator;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
+
+    /// [`ReachKernel::sweep_governed`] under an unlimited governor.
+    fn sweep(kernel: &ReachKernel, p: &Product, sources: &[NodeId]) -> Vec<u64> {
+        kernel
+            .sweep_governed(p, sources, &Governor::unlimited())
+            .unwrap()
+    }
 
     fn eval(expr: &str) -> (Evaluator, usize) {
         let mut g = figure2_labeled();
         let e = parse_expr(expr, g.consts_mut()).unwrap();
         let n = g.node_count();
         let view = LabeledView::new(&g);
-        (Evaluator::new(&view, &e), n)
+        (compile(&view, &e), n)
     }
 
     #[test]
@@ -439,7 +428,7 @@ mod tests {
             let (ev, n) = eval(expr);
             let kernel = ReachKernel::build(ev.product());
             let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-            let visited = kernel.sweep(ev.product(), &sources);
+            let visited = sweep(&kernel, ev.product(), &sources);
             let ends = kernel.batch_ends(ev.product(), &sources, &visited);
             for (j, &v) in sources.iter().enumerate() {
                 assert_eq!(ends[j], ev.ends_from(v), "expr {expr} source {v:?}");
@@ -452,7 +441,7 @@ mod tests {
         let (ev, n) = eval("?person/rides/?bus/rides^-/?infected");
         let kernel = ReachKernel::build(ev.product());
         let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let visited = kernel.sweep(ev.product(), &sources);
+        let visited = sweep(&kernel, ev.product(), &sources);
         let matched = kernel.batch_matches(&visited);
         let expect = ev.matching_starts_sequential();
         for (j, &v) in sources.iter().enumerate() {
@@ -479,13 +468,15 @@ mod tests {
     }
 
     #[test]
-    fn governed_sweep_with_unlimited_budget_is_identical() {
+    fn sweep_memory_is_charged_and_released() {
         let (ev, n) = eval("(contact + rides/rides^-)*");
         let kernel = ReachKernel::build(ev.product());
         let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let gov = Governor::unlimited();
-        let governed = kernel.sweep_governed(ev.product(), &sources, &gov).unwrap();
+        let visited = kernel.sweep_governed(ev.product(), &sources, &gov).unwrap();
+        assert_eq!(visited, sweep(&kernel, ev.product(), &sources));
+        assert!(gov.memory_used() > 0);
         kernel.release_sweep(&gov);
-        assert_eq!(governed, kernel.sweep(ev.product(), &sources));
+        assert_eq!(gov.memory_used(), 0);
     }
 }

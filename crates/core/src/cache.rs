@@ -38,7 +38,6 @@
 //! store mutation (which bumps the generation) can never leak a stale
 //! product to a reader of the new snapshot.
 
-use crate::analyze::Report;
 use crate::automata::{MinimizedNfa, Nfa, NfaSignature};
 use crate::eval::Evaluator;
 use crate::expr::PathExpr;
@@ -73,12 +72,6 @@ impl std::fmt::Debug for CompiledQuery {
 }
 
 impl CompiledQuery {
-    fn compile<G: PathGraph>(g: &G, expr: PathExpr, min: MinimizedNfa) -> CompiledQuery {
-        let nfa = min.nfa;
-        let product = Arc::new(Product::build(g, &nfa));
-        CompiledQuery { expr, nfa, product }
-    }
-
     fn compile_governed<G: PathGraph>(
         g: &G,
         expr: PathExpr,
@@ -111,6 +104,20 @@ impl CompiledQuery {
     }
 }
 
+/// [`CompiledQuery::compile_governed`] with panics isolated and the
+/// `cache::compile` fault site.
+fn compile_isolated<G: PathGraph>(
+    g: &G,
+    expr: PathExpr,
+    min: MinimizedNfa,
+    gov: &Governor,
+) -> Result<CompiledQuery, EvalError> {
+    isolate(|| {
+        fault_point!("cache::compile");
+        CompiledQuery::compile_governed(g, expr, min, gov)
+    })
+}
+
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct CacheKey {
     generation: u64,
@@ -126,11 +133,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Lookups the static analyzer resolved without a cache slot: a
-    /// provably-empty query answered with no compilation at all, a
-    /// `Deny`-flagged query compiled but deliberately not inserted, or a
-    /// detached compile requested by the caller (see
-    /// [`QueryCache::compile_detached`]).
+    /// Lookups resolved without a cache slot: a provably-empty query
+    /// answered with no compilation at all, an automaton that failed
+    /// minimization (`dfa-blowup`) compiled but deliberately not
+    /// inserted, or a detached compile requested by the caller (see
+    /// [`QueryCache::compile_detached_governed`]).
     pub short_circuits: u64,
     /// Compiled queries currently held.
     pub len: usize,
@@ -253,31 +260,20 @@ impl QueryCache {
     /// shares one entry. Compilation happens outside the internal lock;
     /// concurrent misses on one key may compile twice, but only one
     /// entry survives and all callers share it from then on.
-    pub fn get_or_compile<G: PathGraph>(
-        &self,
-        g: &G,
-        generation: u64,
-        expr: &PathExpr,
-    ) -> Arc<CompiledQuery> {
-        let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
-        let key = CacheKey {
-            generation,
-            sig: min.signature.clone(),
-        };
-        if let Some(compiled) = self.lookup(&key) {
-            return compiled;
-        }
-        let compiled = Arc::new(CompiledQuery::compile(g, expr, min));
-        self.insert_if_absent(key, compiled)
-    }
-
-    /// Governed [`QueryCache::get_or_compile`]: compilation runs under
-    /// `gov`'s budget with panics isolated, and is **panic- and
-    /// cancel-safe with respect to the cache** — compilation completes
-    /// *before* anything is inserted, so an interrupted, cancelled, or
-    /// panicking compile leaves the map untouched (no partial entry to
-    /// poison later hits); only the hit/miss counters record the attempt.
+    ///
+    /// Compilation runs under `gov`'s budget with panics isolated, and is
+    /// **panic- and cancel-safe with respect to the cache** — compilation
+    /// completes *before* anything is inserted, so an interrupted,
+    /// cancelled, or panicking compile leaves the map untouched (no
+    /// partial entry to poison later hits); only the hit/miss counters
+    /// record the attempt.
+    ///
+    /// An automaton whose subset construction hit the state cap (the
+    /// analyzer's `dfa-blowup` Deny) compiles but is **not** inserted: an
+    /// oversized product must not evict healthy entries. That lookup is
+    /// counted under `short_circuits`, not as a miss. Callers holding an
+    /// analyzer [`crate::analyze::Report`] short-circuit provably-empty
+    /// queries before calling this (see [`QueryCache::note_short_circuit`]).
     pub fn get_or_compile_governed<G: PathGraph>(
         &self,
         g: &G,
@@ -287,6 +283,10 @@ impl QueryCache {
     ) -> Result<Arc<CompiledQuery>, EvalError> {
         let expr = simplify(expr);
         let min = Nfa::compile_min(&expr);
+        if !min.minimized {
+            self.note_short_circuit();
+            return Ok(Arc::new(compile_isolated(g, expr, min, gov)?));
+        }
         let key = CacheKey {
             generation,
             sig: min.signature.clone(),
@@ -294,71 +294,25 @@ impl QueryCache {
         if let Some(compiled) = self.lookup(&key) {
             return Ok(compiled);
         }
-        let compiled = Arc::new(isolate(|| {
-            fault_point!("cache::compile");
-            CompiledQuery::compile_governed(g, expr, min, gov)
-        })?);
+        let compiled = Arc::new(compile_isolated(g, expr, min, gov)?);
         Ok(self.insert_if_absent(key, compiled))
     }
 
-    /// Analyzer-aware [`QueryCache::get_or_compile`]: consults a static
-    /// analysis [`Report`] first so doomed queries never occupy a slot.
-    ///
-    /// * Provably-empty queries return `None` without compiling anything
-    ///   (the caller answers with an empty result instantly).
-    /// * `Deny`-flagged queries (e.g. determinization blowup) compile but
-    ///   are **not** inserted — an oversized product must not evict
-    ///   healthy entries.
-    /// * Everything else goes through [`QueryCache::get_or_compile`].
-    ///
-    /// The first two paths increment the `short_circuits` statistic
-    /// reported by [`QueryCache::stats`] (and by the CLI under
-    /// `--verbose`).
-    pub fn get_or_compile_checked<G: PathGraph>(
-        &self,
-        g: &G,
-        generation: u64,
-        expr: &PathExpr,
-        report: &Report,
-    ) -> Option<Arc<CompiledQuery>> {
-        if report.is_provably_empty() {
-            self.inner().short_circuits += 1;
-            return None;
-        }
-        if report.denied() {
-            return Some(self.compile_detached(g, expr));
-        }
-        Some(self.get_or_compile(g, generation, expr))
-    }
-
-    /// Compiles `expr` without consulting or populating the map. Used
-    /// when an entry must not occupy a slot: analyzer-denied blowups,
-    /// and server queries whose constants were interned *after* the
-    /// shared snapshot was frozen (their symbol ids are request-local,
-    /// so a cache keyed on them could collide across requests). Counted
-    /// under `short_circuits`.
-    pub fn compile_detached<G: PathGraph>(&self, g: &G, expr: &PathExpr) -> Arc<CompiledQuery> {
-        self.inner().short_circuits += 1;
-        let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
-        Arc::new(CompiledQuery::compile(g, expr, min))
-    }
-
-    /// Governed [`QueryCache::compile_detached`]: same no-slot contract,
-    /// with compilation under `gov` and panics isolated.
+    /// Compiles `expr` under `gov` without consulting or populating the
+    /// map. Used for server queries whose constants were interned
+    /// *after* the shared snapshot was frozen (their symbol ids are
+    /// request-local, so a cache keyed on them could collide across
+    /// requests). Counted under `short_circuits`.
     pub fn compile_detached_governed<G: PathGraph>(
         &self,
         g: &G,
         expr: &PathExpr,
         gov: &Governor,
     ) -> Result<Arc<CompiledQuery>, EvalError> {
-        self.inner().short_circuits += 1;
+        self.note_short_circuit();
         let expr = simplify(expr);
         let min = Nfa::compile_min(&expr);
-        Ok(Arc::new(isolate(|| {
-            fault_point!("cache::compile");
-            CompiledQuery::compile_governed(g, expr, min, gov)
-        })?))
+        Ok(Arc::new(compile_isolated(g, expr, min, gov)?))
     }
 
     /// The lookup half: under the lock, touch + count a hit, or count a
@@ -455,15 +409,15 @@ impl QueryCache {
     }
 
     /// Lookups resolved without occupying a cache slot (see
-    /// [`QueryCache::get_or_compile_checked`] and
-    /// [`QueryCache::compile_detached`]).
+    /// [`QueryCache::get_or_compile_governed`] and
+    /// [`QueryCache::compile_detached_governed`]).
     pub fn short_circuits(&self) -> u64 {
         self.inner().short_circuits
     }
 
     /// Records an analyzer short-circuit that happened outside the cache
-    /// (e.g. a Cypher query proven empty before any pattern compiled), so
-    /// `--verbose` statistics account for it.
+    /// (a provably-empty RPQ, or a Cypher query proven empty before any
+    /// pattern compiled), so `--verbose` statistics account for it.
     pub fn note_short_circuit(&self) {
         self.inner().short_circuits += 1;
     }
@@ -486,9 +440,22 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::test_support::{all_pairs, compile};
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use kgq_graph::generate::gnm_labeled;
+
+    /// [`QueryCache::get_or_compile_governed`] under an unlimited governor.
+    fn get<G: PathGraph>(
+        cache: &QueryCache,
+        g: &G,
+        generation: u64,
+        expr: &PathExpr,
+    ) -> Arc<CompiledQuery> {
+        cache
+            .get_or_compile_governed(g, generation, expr, &Governor::unlimited())
+            .unwrap()
+    }
 
     fn setup() -> (kgq_graph::LabeledGraph, PathExpr, PathExpr) {
         let mut g = gnm_labeled(12, 30, &["a", "b"], &["p", "q"], 3);
@@ -503,9 +470,9 @@ mod tests {
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let c1 = cache.get_or_compile(&view, 0, &e1);
+        let c1 = get(&cache, &view, 0, &e1);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let c2 = cache.get_or_compile(&view, 0, &e1);
+        let c2 = get(&cache, &view, 0, &e1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Same Arc: the product was not rebuilt.
         assert!(Arc::ptr_eq(c1.product(), c2.product()));
@@ -516,8 +483,8 @@ mod tests {
         let (g, e1, e2) = setup();
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let c1 = cache.get_or_compile(&view, 0, &e1);
-        let c2 = cache.get_or_compile(&view, 0, &e2);
+        let c1 = get(&cache, &view, 0, &e1);
+        let c2 = get(&cache, &view, 0, &e2);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(c1.product(), c2.product()));
     }
@@ -532,8 +499,8 @@ mod tests {
         assert_ne!(simplify(&d1), simplify(&d2), "rewrites must not merge");
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let c1 = cache.get_or_compile(&view, 0, &d1);
-        let c2 = cache.get_or_compile(&view, 0, &d2);
+        let c1 = get(&cache, &view, 0, &d1);
+        let c2 = get(&cache, &view, 0, &d2);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(c1.product(), c2.product()));
         let stats = cache.stats();
@@ -570,10 +537,10 @@ mod tests {
     fn warm_results_are_identical_to_cold_evaluation() {
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
-        let cold = Evaluator::new(&view, &e1).pairs();
+        let cold = all_pairs(&compile(&view, &e1));
         let cache = QueryCache::new();
-        cache.get_or_compile(&view, 0, &e1);
-        let warm = cache.get_or_compile(&view, 0, &e1).evaluator().pairs();
+        get(&cache, &view, 0, &e1);
+        let warm = all_pairs(&get(&cache, &view, 0, &e1).evaluator());
         assert_eq!(cold, warm);
         assert_eq!(cache.hits(), 1);
     }
@@ -583,8 +550,8 @@ mod tests {
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let c1 = cache.get_or_compile(&view, 0, &e1);
-        let c2 = cache.get_or_compile(&view, 1, &e1);
+        let c1 = get(&cache, &view, 0, &e1);
+        let c2 = get(&cache, &view, 1, &e1);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert!(!Arc::ptr_eq(c1.product(), c2.product()));
     }
@@ -595,7 +562,7 @@ mod tests {
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
         // Cold reference: a plain compile on an untouched cache.
-        let cold = Evaluator::new(&view, &e1).pairs();
+        let cold = all_pairs(&compile(&view, &e1));
         let cache = QueryCache::new();
         let cancel = CancelToken::new();
         cancel.cancel();
@@ -611,7 +578,7 @@ mod tests {
         let retry = cache
             .get_or_compile_governed(&view, 0, &e1, &Governor::unlimited())
             .unwrap();
-        assert_eq!(retry.evaluator().pairs(), cold);
+        assert_eq!(all_pairs(&retry.evaluator()), cold);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         // And the entry now behaves as a normal cached hit.
         let again = cache
@@ -636,7 +603,7 @@ mod tests {
         let ok = cache
             .get_or_compile_governed(&view, 0, &e1, &Governor::unlimited())
             .unwrap();
-        assert_eq!(ok.evaluator().pairs(), Evaluator::new(&view, &e1).pairs());
+        assert_eq!(all_pairs(&ok.evaluator()), all_pairs(&compile(&view, &e1)));
     }
 
     #[test]
@@ -650,27 +617,22 @@ mod tests {
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
 
+        // A caller holding a provably-empty report answers without
+        // compiling and records the short-circuit.
         let dead_report = analyze_expr(&dead, &schema, None);
         assert!(dead_report.is_provably_empty());
-        assert!(cache
-            .get_or_compile_checked(&view, 0, &dead, &dead_report)
-            .is_none());
-        // Nothing compiled, nothing cached, the short-circuit counted.
+        cache.note_short_circuit();
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         assert_eq!(cache.short_circuits(), 1);
 
         let live_report = analyze_expr(&live, &schema, None);
         assert!(!live_report.denied());
-        let c = cache
-            .get_or_compile_checked(&view, 0, &live, &live_report)
-            .expect("live query compiles");
+        let c = get(&cache, &view, 0, &live);
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // The live entry behaves as a normal cached hit afterwards.
-        let again = cache
-            .get_or_compile_checked(&view, 0, &live, &live_report)
-            .expect("cached");
+        let again = get(&cache, &view, 0, &live);
         assert!(Arc::ptr_eq(c.product(), again.product()));
         assert_eq!(cache.hits(), 1);
         let stats = cache.stats();
@@ -688,15 +650,20 @@ mod tests {
         let schema = SchemaSummary::from_labeled(&g);
         let report = analyze_expr(&blowup, &schema, None);
         assert!(report.denied() && !report.is_provably_empty());
+        // The analyzer's Deny is exactly a failed minimization.
+        assert!(!Nfa::compile_min(&simplify(&blowup)).minimized);
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let compiled = cache
-            .get_or_compile_checked(&view, 0, &blowup, &report)
-            .expect("denied queries still compile");
-        // Compiled and usable, but no slot occupied.
-        assert!(!compiled.evaluator().pairs().is_empty());
+        let compiled = get(&cache, &view, 0, &blowup);
+        // Compiled and usable, but no slot occupied and no miss counted.
+        assert!(!all_pairs(&compiled.evaluator()).is_empty());
         assert!(cache.is_empty());
         assert_eq!(cache.short_circuits(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // A repeat compiles again rather than hitting.
+        get(&cache, &view, 0, &blowup);
+        assert!(cache.is_empty());
+        assert_eq!(cache.short_circuits(), 2);
     }
 
     #[test]
@@ -704,20 +671,19 @@ mod tests {
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
         let cache = QueryCache::new();
-        let detached = cache.compile_detached(&view, &e1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.short_circuits(), 1);
-        let governed = cache
+        let detached = cache
             .compile_detached_governed(&view, &e1, &Governor::unlimited())
             .unwrap();
         assert!(cache.is_empty());
-        assert_eq!(cache.short_circuits(), 2);
-        // Both produce working, agreeing evaluators.
-        assert_eq!(detached.evaluator().pairs(), governed.evaluator().pairs());
-        // And a later cached compile is unaffected by the detached ones.
-        let cached = cache.get_or_compile(&view, 0, &e1);
+        assert_eq!(cache.short_circuits(), 1);
+        // A later cached compile is unaffected by the detached one, and
+        // both produce working, agreeing evaluators.
+        let cached = get(&cache, &view, 0, &e1);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cached.evaluator().pairs(), detached.evaluator().pairs());
+        assert_eq!(
+            all_pairs(&cached.evaluator()),
+            all_pairs(&detached.evaluator())
+        );
     }
 
     #[test]
@@ -729,17 +695,17 @@ mod tests {
         let ec = parse_expr("p/q", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let cache = QueryCache::with_capacity(2);
-        cache.get_or_compile(&view, 0, &ea);
-        cache.get_or_compile(&view, 0, &eb);
+        get(&cache, &view, 0, &ea);
+        get(&cache, &view, 0, &eb);
         // Touch `ea` so `eb` becomes LRU, then insert a third entry.
-        cache.get_or_compile(&view, 0, &ea);
-        cache.get_or_compile(&view, 0, &ec);
+        get(&cache, &view, 0, &ea);
+        get(&cache, &view, 0, &ec);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         // `ea` survived (hit), `eb` was evicted (miss).
-        cache.get_or_compile(&view, 0, &ea);
+        get(&cache, &view, 0, &ea);
         assert_eq!(cache.hits(), 2);
-        cache.get_or_compile(&view, 0, &eb);
+        get(&cache, &view, 0, &eb);
         assert_eq!(cache.misses(), 4);
     }
 
@@ -760,7 +726,7 @@ mod tests {
         let view = LabeledView::new(&g);
         let solo: Vec<_> = exprs
             .iter()
-            .map(|e| Evaluator::new(&view, e).pairs())
+            .map(|e| all_pairs(&compile(&view, e)))
             .collect();
         let cache = QueryCache::new();
         const THREADS: usize = 8;
@@ -779,9 +745,9 @@ mod tests {
                             let mut seen = Vec::new();
                             for round in 0..ROUNDS {
                                 let i = (t + round) % exprs.len();
-                                let c = cache.get_or_compile(view, generation, &exprs[i]);
+                                let c = get(cache, view, generation, &exprs[i]);
                                 assert_eq!(
-                                    c.evaluator().pairs(),
+                                    all_pairs(&c.evaluator()),
                                     solo[i],
                                     "thread {t} expr {i} diverged from the solo run"
                                 );
@@ -824,7 +790,7 @@ mod tests {
         use crate::govern::Budget;
         let (g, e1, _) = setup();
         let view = LabeledView::new(&g);
-        let solo = Evaluator::new(&view, &e1).pairs();
+        let solo = all_pairs(&compile(&view, &e1));
         let cache = QueryCache::new();
         std::thread::scope(|s| {
             for t in 0..8 {
@@ -840,7 +806,7 @@ mod tests {
                     };
                     let gov = Governor::new(&budget);
                     match cache.get_or_compile_governed(view, 0, e1, &gov) {
-                        Ok(c) => assert_eq!(&c.evaluator().pairs(), solo),
+                        Ok(c) => assert_eq!(&all_pairs(&c.evaluator()), solo),
                         Err(EvalError::Interrupted(Interrupt::StepBudget)) => {}
                         Err(e) => panic!("unexpected error: {e}"),
                     }
@@ -853,6 +819,6 @@ mod tests {
         let c = cache
             .get_or_compile_governed(&view, 0, &e1, &Governor::unlimited())
             .unwrap();
-        assert_eq!(c.evaluator().pairs(), solo);
+        assert_eq!(all_pairs(&c.evaluator()), solo);
     }
 }

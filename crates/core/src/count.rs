@@ -5,10 +5,13 @@
 //! problem is SpanL-complete, so no polynomial exact algorithm is expected.
 //! Two exact algorithms are provided:
 //!
-//! * [`count_paths`] — determinize the product (worst-case exponential,
-//!   where the hardness lives), then count by dynamic programming over the
-//!   deterministic automaton in `O(k · |det|)` — the standard "exponential
-//!   preprocessing, fast per-k" tradeoff.
+//! * [`count_paths_governed`] — determinize the product (worst-case
+//!   exponential, where the hardness lives), then count by dynamic
+//!   programming over the deterministic automaton in `O(k · |det|)` — the
+//!   standard "exponential preprocessing, fast per-k" tradeoff — under a
+//!   budget, degrading to the FPRAS estimate when the exact rung cannot
+//!   finish. It is the one counting entry point; with no budget, pass
+//!   [`Budget::unlimited`].
 //! * [`count_paths_naive`] — enumerate every length-`k` walk of the graph
 //!   and test acceptance, in `Θ(Σ_paths)` time: the brute-force baseline
 //!   the experiments contrast against.
@@ -208,11 +211,6 @@ impl ExactCounter {
     }
 }
 
-/// `Count(G, r, k)` via determinization + DP. See [`ExactCounter`].
-pub fn count_paths<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> Result<u128, CountError> {
-    ExactCounter::new(g, expr).count(k)
-}
-
 /// A governed count: exact when the budget allowed it, or an FPRAS
 /// estimate when exact counting was cut short (the `degraded` flag on
 /// the surrounding [`Governed`] is set in that case).
@@ -241,7 +239,11 @@ impl fmt::Display for CountOutcome {
 ///
 /// Exact counting is SpanL-complete (§4.1) — determinization can blow
 /// up exponentially — while the FPRAS stays polynomial, so the fallback
-/// usually completes comfortably inside the remaining budget.
+/// usually completes comfortably inside the remaining budget. When the
+/// automaton already failed minimization (the subset construction hit
+/// the state cap — the analyzer's `dfa-blowup` Deny), the doomed exact
+/// rung is skipped and the FPRAS runs under the whole budget, marked
+/// `degraded` the same way.
 pub fn count_paths_governed<G: PathGraph + Sync>(
     g: &G,
     expr: &PathExpr,
@@ -262,7 +264,7 @@ pub fn count_paths_governed<G: PathGraph + Sync>(
 /// [`count_paths_governed`] with explicit FPRAS parameters for the
 /// fallback rung (fewer trials trade accuracy for a smaller footprint,
 /// letting the approximation fit tighter leftover budgets).
-pub fn count_paths_governed_with<G: PathGraph + Sync>(
+fn count_paths_governed_with<G: PathGraph + Sync>(
     g: &G,
     expr: &PathExpr,
     k: usize,
@@ -270,12 +272,17 @@ pub fn count_paths_governed_with<G: PathGraph + Sync>(
     cancel: CancelToken,
     params: &crate::approx::ApproxParams,
 ) -> Result<Governed<CountOutcome>, EvalError> {
+    let min = Nfa::compile_min(expr);
+    if !min.minimized {
+        let gov = Governor::with_cancel(budget, cancel);
+        return approx_rung(g, expr, k, params, &gov);
+    }
     let stage1 = Budget {
         max_steps: budget.max_steps.map(|s| s / 2),
         ..budget.clone()
     };
     let gov = Governor::with_cancel(&stage1, cancel);
-    let nfa = Nfa::compile_min(expr).nfa;
+    let nfa = min.nfa;
     let exact = crate::govern::isolate_eval(|| {
         DetProduct::build_governed(g, &nfa, &gov)
             .map_err(EvalError::from)
@@ -297,48 +304,26 @@ pub fn count_paths_governed_with<G: PathGraph + Sync>(
     // governor rather than reusing the tripped one).
     let remaining = budget.max_steps.map(|s| s.saturating_sub(gov.steps_used()));
     let gov2 = gov.successor_with_steps(remaining.unwrap_or(u64::MAX));
+    approx_rung(g, expr, k, params, &gov2)
+}
+
+/// The FPRAS rung of the counting ladder: an estimate under `gov`,
+/// marked `degraded`.
+fn approx_rung<G: PathGraph + Sync>(
+    g: &G,
+    expr: &PathExpr,
+    k: usize,
+    params: &crate::approx::ApproxParams,
+    gov: &Governor,
+) -> Result<Governed<CountOutcome>, EvalError> {
     let estimate = crate::govern::isolate_eval(|| {
-        crate::approx::approx_count_governed_with(g, expr, k, params, &gov2)
+        crate::approx::approx_count_governed_with(g, expr, k, params, gov)
     })?;
     Ok(Governed {
         value: CountOutcome::Approximate(estimate),
         completion: crate::govern::Completion::Complete,
         degraded: true,
     })
-}
-
-/// Analyzer-routed counting: consults a static-analysis [`Report`]
-/// before doing any work.
-///
-/// * A provably-empty query answers `Exact(0)` instantly — no
-///   determinization, no product, no DP.
-/// * A `Deny` finding for exact counting (determinization blowup,
-///   [`Report::denies_exact_count`]) skips the doomed exact stage and
-///   goes straight to the FPRAS estimate, marked `degraded` exactly like
-///   the governed ladder's fallback rung — the step budget is never
-///   burned on a stage the analyzer already condemned.
-/// * Otherwise the exact DP runs as in [`count_paths`].
-pub fn count_paths_analyzed<G: PathGraph + Sync>(
-    g: &G,
-    expr: &PathExpr,
-    k: usize,
-    report: &crate::analyze::Report,
-) -> Result<Governed<CountOutcome>, CountError> {
-    if report.is_provably_empty() {
-        return Ok(Governed::complete(CountOutcome::Exact(0)));
-    }
-    if report.denies_exact_count() {
-        let estimate =
-            crate::approx::approx_count(g, expr, k, &crate::approx::ApproxParams::default());
-        return Ok(Governed {
-            value: CountOutcome::Approximate(estimate),
-            completion: crate::govern::Completion::Complete,
-            degraded: true,
-        });
-    }
-    Ok(Governed::complete(CountOutcome::Exact(count_paths(
-        g, expr, k,
-    )?)))
 }
 
 /// Brute-force `Count(G, r, k)`: enumerate every length-`k` walk
@@ -408,10 +393,23 @@ mod tests {
     use kgq_graph::generate::{cycle_graph, gnm_labeled, path_graph};
     use kgq_graph::LabeledGraph;
 
+    /// [`count_paths_governed`] under an unlimited budget, which must
+    /// count exactly.
+    pub(super) fn exact_count<G: PathGraph + Sync>(
+        g: &G,
+        e: &PathExpr,
+        k: usize,
+    ) -> Result<u128, EvalError> {
+        match count_paths_governed(g, e, k, &Budget::unlimited(), CancelToken::new())?.value {
+            CountOutcome::Exact(c) => Ok(c),
+            other => panic!("unlimited count degraded to {other}"),
+        }
+    }
+
     fn count_both(g: &mut LabeledGraph, expr: &str, k: usize) -> (u128, u128) {
         let e = parse_expr(expr, g.consts_mut()).unwrap();
         let view = LabeledView::new(g);
-        let exact = count_paths(&view, &e, k).unwrap();
+        let exact = exact_count(&view, &e, k).unwrap();
         let naive = count_paths_naive(&view, &e, k);
         (exact, naive)
     }
@@ -476,13 +474,13 @@ mod tests {
         let mut g = path_graph(4, "v", "a");
         let e = parse_expr("a + a/a", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        assert_eq!(count_paths(&view, &e, 1).unwrap(), 3);
-        assert_eq!(count_paths(&view, &e, 2).unwrap(), 2);
+        assert_eq!(exact_count(&view, &e, 1).unwrap(), 3);
+        assert_eq!(exact_count(&view, &e, 2).unwrap(), 2);
         // Highly ambiguous: (a + a)* — each path still counted once.
         let e2 = parse_expr("(a + a)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        assert_eq!(count_paths(&view, &e2, 1).unwrap(), 3);
-        assert_eq!(count_paths(&view, &e2, 3).unwrap(), 1);
+        assert_eq!(exact_count(&view, &e2, 1).unwrap(), 3);
+        assert_eq!(exact_count(&view, &e2, 3).unwrap(), 1);
     }
 
     #[test]
@@ -553,13 +551,14 @@ mod tests {
         let e = parse_expr("?person", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         // Figure 2 has persons n1, n4, n8.
-        assert_eq!(count_paths(&view, &e, 0).unwrap(), 3);
-        assert_eq!(count_paths(&view, &e, 1).unwrap(), 0);
+        assert_eq!(exact_count(&view, &e, 0).unwrap(), 3);
+        assert_eq!(exact_count(&view, &e, 1).unwrap(), 0);
     }
 }
 
 #[cfg(test)]
 mod governed_tests {
+    use super::tests::exact_count;
     use super::*;
     use crate::approx::ApproxParams;
     use crate::govern::Completion;
@@ -580,33 +579,43 @@ mod governed_tests {
     }
 
     #[test]
-    fn analyzed_count_routes_empty_and_blowup() {
+    fn failed_minimization_routes_straight_to_fpras() {
         use crate::analyze::analyze_expr;
         use kgq_graph::SchemaSummary;
-        // Provably empty: exact zero without building anything.
-        let mut g = gnm_labeled(12, 30, &["a"], &["p", "q"], 3);
-        let dead = parse_expr("ghost/p", g.consts_mut()).unwrap();
-        let schema = SchemaSummary::from_labeled(&g);
-        let report = analyze_expr(&dead, &schema, None);
-        let got = count_paths_analyzed(&LabeledView::new(&g), &dead, 3, &report).unwrap();
-        assert_eq!(got.value, CountOutcome::Exact(0));
-        assert!(!got.degraded);
-
-        // Deny (blowup): routed straight to the FPRAS estimate, degraded.
+        // Deny (blowup): the exact rung is skipped even with no budget,
+        // and the FPRAS estimate comes back degraded.
         let (gb, blow) = blowup_depth(13);
         let breport = analyze_expr(&blow, &SchemaSummary::from_labeled(&gb), None);
         assert!(breport.denies_exact_count());
-        let approx = count_paths_analyzed(&LabeledView::new(&gb), &blow, 16, &breport).unwrap();
+        let approx = count_paths_governed(
+            &LabeledView::new(&gb),
+            &blow,
+            16,
+            &Budget::unlimited(),
+            CancelToken::new(),
+        )
+        .unwrap();
         assert!(approx.degraded);
+        assert_eq!(approx.completion, Completion::Complete);
         assert!(matches!(approx.value, CountOutcome::Approximate(_)));
 
         // Clean queries still count exactly.
+        let mut g = gnm_labeled(12, 30, &["a"], &["p", "q"], 3);
         let live = parse_expr("p/q", g.consts_mut()).unwrap();
-        let lreport = analyze_expr(&live, &schema, None);
-        let exact = count_paths_analyzed(&LabeledView::new(&g), &live, 2, &lreport).unwrap();
+        let lreport = analyze_expr(&live, &SchemaSummary::from_labeled(&g), None);
+        assert!(!lreport.denies_exact_count());
+        let exact = count_paths_governed(
+            &LabeledView::new(&g),
+            &live,
+            2,
+            &Budget::unlimited(),
+            CancelToken::new(),
+        )
+        .unwrap();
+        assert!(!exact.degraded);
         assert_eq!(
             exact.value,
-            CountOutcome::Exact(count_paths(&LabeledView::new(&g), &live, 2).unwrap())
+            CountOutcome::Exact(count_paths_naive(&LabeledView::new(&g), &live, 2))
         );
     }
 
@@ -618,7 +627,7 @@ mod governed_tests {
     fn unlimited_budget_counts_exactly() {
         let (g, e) = blowup();
         let view = LabeledView::new(&g);
-        let expected = count_paths(&view, &e, 9).unwrap();
+        let expected = exact_count(&view, &e, 9).unwrap();
         let res =
             count_paths_governed(&view, &e, 9, &Budget::default(), CancelToken::new()).unwrap();
         assert!(!res.degraded);
@@ -632,7 +641,7 @@ mod governed_tests {
         // ~340k governed steps while a 16-trial FPRAS needs ~150k.
         let (g, e) = blowup_depth(10);
         let view = LabeledView::new(&g);
-        let exact = count_paths(&view, &e, 11).unwrap() as f64;
+        let exact = exact_count(&view, &e, 11).unwrap() as f64;
         // Stage 1 gets half of this — not enough to determinize and run
         // the DP — while the leftover covers the 16-trial estimator.
         let budget = Budget::default().with_max_steps(400_000);

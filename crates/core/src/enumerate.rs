@@ -329,14 +329,11 @@ pub struct EnumerationPage {
     pub cursor: Option<Cursor>,
 }
 
-/// Convenience: materializes all paths of length exactly `k`.
-pub fn enumerate_paths<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> Vec<Path> {
-    PathEnumerator::new(g, expr, k).collect()
-}
-
-/// Governed enumeration: produces answers until done or the budget runs
-/// out, in which case the page carries the prefix produced so far and a
-/// [`Cursor`] that [`enumerate_paths_resumed`] continues from.
+/// Enumerates all paths of length exactly `k`, in lexicographic order:
+/// produces answers until done or the budget runs out, in which case the
+/// page carries the prefix produced so far and a [`Cursor`] that
+/// [`enumerate_paths_resumed`] continues from. With no budget, pass
+/// [`Governor::unlimited`].
 pub fn enumerate_paths_governed<G: PathGraph>(
     g: &G,
     expr: &PathExpr,
@@ -440,13 +437,20 @@ pub fn enumerate_paths_upto<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::count_paths;
+    use crate::count::ExactCounter;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use crate::product::Product;
     use kgq_graph::figures::figure2_labeled;
     use kgq_graph::generate::{gnm_labeled, path_graph};
     use std::collections::HashSet;
+
+    /// [`enumerate_paths_governed`] under an unlimited governor.
+    fn enumerate_all<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> Vec<Path> {
+        let res = enumerate_paths_governed(g, expr, k, &Governor::unlimited()).unwrap();
+        assert!(!res.is_partial());
+        res.value.paths
+    }
 
     #[test]
     fn enumeration_matches_exact_count() {
@@ -456,8 +460,8 @@ mod tests {
                 let e = parse_expr(expr_text, g.consts_mut()).unwrap();
                 let view = LabeledView::new(&g);
                 for k in 0..=4 {
-                    let paths = enumerate_paths(&view, &e, k);
-                    let count = count_paths(&view, &e, k).unwrap();
+                    let paths = enumerate_all(&view, &e, k);
+                    let count = ExactCounter::new(&view, &e).count(k).unwrap();
                     assert_eq!(paths.len() as u128, count, "{expr_text} k={k}");
                     // All distinct.
                     let set: HashSet<_> = paths.iter().cloned().collect();
@@ -474,7 +478,7 @@ mod tests {
         let view = LabeledView::new(&g);
         let nfa = crate::automata::Nfa::compile(&e);
         let prod = Product::build(&view, &nfa);
-        let paths = enumerate_paths(&view, &e, 2);
+        let paths = enumerate_all(&view, &e, 2);
         assert_eq!(paths.len(), 2); // n1 and n4 each share bus n3 with n2
         for p in &paths {
             assert!(prod.accepts(p.start, &p.edges));
@@ -487,7 +491,7 @@ mod tests {
         let mut g = gnm_labeled(8, 20, &["a"], &["p"], 3);
         let e = parse_expr("(p)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let paths = enumerate_paths(&view, &e, 3);
+        let paths = enumerate_all(&view, &e, 3);
         let mut sorted = paths.clone();
         sorted.sort();
         assert_eq!(paths, sorted);
@@ -498,7 +502,7 @@ mod tests {
         let mut g = figure2_labeled();
         let e = parse_expr("?person", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let paths = enumerate_paths(&view, &e, 0);
+        let paths = enumerate_all(&view, &e, 0);
         assert_eq!(paths.len(), 3);
         assert!(paths.iter().all(|p| p.is_empty()));
     }

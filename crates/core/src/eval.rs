@@ -7,13 +7,16 @@
 //! polynomial in the product size (no determinization needed, since only
 //! existence — not counting — is asked).
 //!
-//! Multi-source scans ([`Evaluator::pairs`], [`Evaluator::matching_starts`])
-//! run on the bit-parallel [`ReachKernel`]: each pass advances 64 BFS
-//! sources at once (see [`crate::bitkernel`]), and batches fan out across
-//! threads (see [`crate::parallel`]). Batch results are concatenated in
-//! source order, so the output is byte-identical to the per-source
-//! sequential references ([`Evaluator::pairs_sequential`],
+//! Multi-source scans ([`Evaluator::pairs_governed`],
+//! [`Evaluator::matching_starts_governed`]) run on the bit-parallel
+//! [`ReachKernel`]: each pass advances 64 BFS sources at once (see
+//! [`crate::bitkernel`]), and batches fan out across threads (see
+//! [`crate::parallel`]). Batch results are concatenated in source order,
+//! so the output is byte-identical to the per-source sequential
+//! references ([`Evaluator::pairs_sequential`],
 //! [`Evaluator::matching_starts_sequential`]) regardless of thread count.
+//! They are the only multi-source entry points and always run under a
+//! [`Governor`]; a caller with no budget passes [`Governor::unlimited`].
 //! Point lookups ([`Evaluator::check`], [`Evaluator::shortest_witness`])
 //! instead search bidirectionally — forward from the source's initial
 //! states, backward from the accepting states at the target over the
@@ -23,11 +26,10 @@
 //! automaton has no ε-skeleton and (usually) fewer states, which shrinks
 //! the product every scan runs over.
 
-use crate::analyze::PlanAdvice;
 use crate::automata::Nfa;
 use crate::bitkernel::{ReachKernel, BATCH};
 use crate::expr::PathExpr;
-use crate::govern::{fault_point, isolate, EvalError, Governed, Governor, Interrupt, Ticker};
+use crate::govern::{fault_point, isolate, EvalError, Governed, Governor, Interrupt};
 use crate::model::PathGraph;
 use crate::path::Path;
 use crate::product::{PState, Product};
@@ -48,13 +50,6 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// Compiles `expr` (through minimization) and builds the product
-    /// with `g`.
-    pub fn new<G: PathGraph>(g: &G, expr: &PathExpr) -> Evaluator {
-        let nfa = Nfa::compile_min(expr).nfa;
-        Evaluator::from_product(Arc::new(Product::build(g, &nfa)))
-    }
-
     /// Compiles `expr` and builds the product under `gov`'s budget.
     pub fn new_governed<G: PathGraph>(
         g: &G,
@@ -108,56 +103,6 @@ impl Evaluator {
         seen
     }
 
-    /// Governed [`Evaluator::reachable_from`]: ticks per frontier
-    /// expansion and charges the visited bitmap (released by the caller).
-    fn reachable_from_governed(
-        &self,
-        start: NodeId,
-        gov: &Governor,
-    ) -> Result<Vec<bool>, Interrupt> {
-        let mut ticker = Ticker::new(gov);
-        gov.charge_memory(self.product.state_count() as u64)?;
-        let mut seen = vec![false; self.product.state_count()];
-        let mut queue: VecDeque<PState> = VecDeque::new();
-        for &s in self.product.initial(start) {
-            if !seen[s as usize] {
-                seen[s as usize] = true;
-                queue.push_back(s);
-            }
-        }
-        while let Some(s) = queue.pop_front() {
-            for &(_, s2) in self.product.out(s) {
-                ticker.tick()?;
-                if !seen[s2 as usize] {
-                    seen[s2 as usize] = true;
-                    queue.push_back(s2);
-                }
-            }
-        }
-        ticker.flush()?;
-        Ok(seen)
-    }
-
-    /// Governed [`Evaluator::ends_from`]; identical output when the
-    /// budget is not exhausted.
-    pub fn ends_from_governed(
-        &self,
-        start: NodeId,
-        gov: &Governor,
-    ) -> Result<Vec<NodeId>, Interrupt> {
-        let seen = self.reachable_from_governed(start, gov)?;
-        let mut ends: Vec<NodeId> = seen
-            .iter()
-            .enumerate()
-            .filter(|&(s, &r)| r && self.product.is_accepting(s as PState))
-            .map(|(s, _)| self.product.node_of(s as PState))
-            .collect();
-        gov.release_memory(seen.len() as u64);
-        ends.sort_unstable();
-        ends.dedup();
-        Ok(ends)
-    }
-
     /// End nodes `b` such that some path `p ∈ ⟦r⟧` has
     /// `start(p) = start ∧ end(p) = b`. Sorted, deduplicated.
     pub fn ends_from(&self, start: NodeId) -> Vec<NodeId> {
@@ -182,83 +127,21 @@ impl Evaluator {
         self.kernel().check(&self.product, a, b)
     }
 
-    /// All `(start, end)` pairs connected by a matching path.
-    ///
-    /// Runs on the bit-parallel kernel: 64 sources per sweep, sweeps
-    /// fanned out across threads when available. The result is identical
-    /// to [`Evaluator::pairs_sequential`] for every thread count.
-    pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let kernel = self.kernel();
-        let nodes = self.all_nodes();
-        let nb = nodes.len().div_ceil(BATCH);
-        let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-        if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            // Fused sequential path: each batch appends straight into the
-            // accumulator through reusable pre-sized buckets, so the
-            // multi-million-pair answers are written once, not copied
-            // batch-by-batch.
-            let mut scratch: Vec<Vec<NodeId>> = Vec::new();
-            let mut out = Vec::new();
-            for i in 0..nb {
-                let chunk = chunk_of(i);
-                let visited = kernel.sweep(&self.product, chunk);
-                kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-            }
-            out
-        } else {
-            let per_batch: Vec<Vec<(NodeId, NodeId)>> = (0..nb)
-                .into_par_iter()
-                .map(|i| {
-                    let chunk = chunk_of(i);
-                    let visited = kernel.sweep(&self.product, chunk);
-                    let mut scratch = Vec::new();
-                    let mut out = Vec::new();
-                    kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-                    out
-                })
-                .collect();
-            let mut result = Vec::with_capacity(per_batch.iter().map(Vec::len).sum());
-            for chunk in per_batch {
-                result.extend(chunk);
-            }
-            result
-        }
-    }
-
     /// All source nodes the product covers, in id order.
     fn all_nodes(&self) -> Vec<NodeId> {
         (0..self.product.node_count() as u32).map(NodeId).collect()
     }
 
-    /// Runs `run` over every [`BATCH`]-sized chunk of `nodes` — in
-    /// parallel when threads are available — and concatenates the chunk
-    /// results in source order (deterministic at every thread count).
-    fn map_batches<T: Send>(
-        &self,
-        nodes: &[NodeId],
-        run: impl Fn(&[NodeId]) -> Vec<T> + Sync,
-    ) -> Vec<T> {
-        let nb = nodes.len().div_ceil(BATCH);
-        let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-        let per_batch: Vec<Vec<T>> = if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            (0..nb).map(|i| run(chunk_of(i))).collect()
-        } else {
-            (0..nb).into_par_iter().map(|i| run(chunk_of(i))).collect()
-        };
-        let mut result = Vec::with_capacity(per_batch.iter().map(Vec::len).sum());
-        for chunk in per_batch {
-            result.extend(chunk);
-        }
-        result
-    }
-
-    /// Governed [`Evaluator::pairs`]: every 64-source sweep runs under
+    /// All `(start, end)` pairs connected by a matching path.
+    ///
+    /// Runs on the bit-parallel kernel: 64 sources per sweep, sweeps
+    /// fanned out across threads when available. Every sweep runs under
     /// `gov` with its panics isolated, and exhaustion yields a *prefix*
     /// of the full answer (every included batch completed its sweep)
     /// tagged [`crate::govern::Completion::Partial`] with the reason.
     ///
     /// With an unlimited governor the value is byte-identical to
-    /// [`Evaluator::pairs`] at every thread count.
+    /// [`Evaluator::pairs_sequential`] at every thread count.
     pub fn pairs_governed(
         &self,
         gov: &Governor,
@@ -277,10 +160,11 @@ impl Evaluator {
             });
             return assemble_prefix(per_batch, gov, true);
         }
-        // Fused sequential path mirroring [`Evaluator::pairs`]: one
-        // accumulator, scratch reused across batches (so governance adds
-        // no per-batch allocations), results charged as each batch lands
-        // with the same per-item cut point as `assemble_prefix`.
+        // Fused sequential path: one accumulator, scratch reused across
+        // batches (so governance adds no per-batch allocations), and one
+        // result charge per landed batch with the same per-item cut point
+        // as `assemble_prefix`. The multi-million-pair answers are written
+        // once, not copied batch by batch.
         let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
         let mut out: Vec<(NodeId, NodeId)> = Vec::new();
         let mut scratch: Vec<Vec<NodeId>> = Vec::new();
@@ -301,11 +185,10 @@ impl Evaluator {
             });
             match step {
                 Ok(()) => {
-                    for idx in before..out.len() {
-                        if let Err(why) = gov.charge_results(1) {
-                            out.truncate(idx);
-                            return Ok(Governed::partial(out, why));
-                        }
+                    let landed = (out.len() - before) as u64;
+                    if let Err((fit, why)) = gov.charge_results_upto(landed) {
+                        out.truncate(before + fit as usize);
+                        return Ok(Governed::partial(out, why));
                     }
                 }
                 Err(EvalError::Interrupted(why)) => {
@@ -318,8 +201,10 @@ impl Evaluator {
         Ok(Governed::complete(out))
     }
 
-    /// Governed [`Evaluator::matching_starts`]; same partial-prefix
-    /// contract as [`Evaluator::pairs_governed`].
+    /// Node extraction (§4.3): all nodes that *start* a matching path,
+    /// with the same kernel and partial-prefix contract as
+    /// [`Evaluator::pairs_governed`]; unlimited runs are byte-identical
+    /// to [`Evaluator::matching_starts_sequential`].
     pub fn matching_starts_governed(
         &self,
         gov: &Governor,
@@ -386,7 +271,8 @@ impl Evaluator {
         }
     }
 
-    /// Single-threaded [`Evaluator::pairs`] (reference implementation).
+    /// Single-threaded [`Evaluator::pairs_governed`] (reference
+    /// implementation).
     pub fn pairs_sequential(&self) -> Vec<(NodeId, NodeId)> {
         let n = self.product.node_count();
         let mut result = Vec::new();
@@ -399,47 +285,8 @@ impl Evaluator {
         result
     }
 
-    /// [`Evaluator::pairs`] routed through the static analyzer's
-    /// [`PlanAdvice`]: a `Sequential` recommendation takes the fused
-    /// sequential scan (skipping kernel setup), everything else the
-    /// bit-parallel sweep. Every plan produces byte-identical output —
-    /// advice only moves work, never answers.
-    pub fn pairs_planned(&self, advice: PlanAdvice) -> Vec<(NodeId, NodeId)> {
-        match advice {
-            PlanAdvice::Sequential => self.pairs_sequential(),
-            PlanAdvice::BitParallel | PlanAdvice::Bidirectional => self.pairs(),
-        }
-    }
-
-    /// [`Evaluator::matching_starts`] routed through [`PlanAdvice`]; see
-    /// [`Evaluator::pairs_planned`] for the guarantees.
-    pub fn matching_starts_planned(&self, advice: PlanAdvice) -> Vec<NodeId> {
-        match advice {
-            PlanAdvice::Sequential => self.matching_starts_sequential(),
-            PlanAdvice::BitParallel | PlanAdvice::Bidirectional => self.matching_starts(),
-        }
-    }
-
-    /// Node extraction (§4.3): all nodes that *start* a matching path.
-    ///
-    /// Runs on the bit-parallel kernel, with output identical to
-    /// [`Evaluator::matching_starts_sequential`].
-    pub fn matching_starts(&self) -> Vec<NodeId> {
-        let kernel = self.kernel();
-        let nodes = self.all_nodes();
-        self.map_batches(&nodes, |chunk| {
-            let visited = kernel.sweep(&self.product, chunk);
-            let matched = kernel.batch_matches(&visited);
-            chunk
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| matched >> j & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect()
-        })
-    }
-
-    /// Single-threaded [`Evaluator::matching_starts`].
+    /// Single-threaded [`Evaluator::matching_starts_governed`] (reference
+    /// implementation).
     pub fn matching_starts_sequential(&self) -> Vec<NodeId> {
         let n = self.product.node_count();
         (0..n as u32)
@@ -611,26 +458,30 @@ impl Evaluator {
 
 /// Concatenates per-source scan results in source order, cutting at the
 /// first interrupted source so the value is an exact prefix of the full
-/// answer. Result-budget charging happens here, sequentially, so the
-/// prefix length under a result budget is deterministic. Worker panics
+/// answer. Result-budget charging happens here, sequentially and one
+/// charge per batch, so the prefix length under a result budget is
+/// deterministic. Worker panics
 /// (`EvalError::Panic`) propagate as errors.
 fn assemble_prefix<T>(
     per_source: Vec<Result<Vec<T>, EvalError>>,
     gov: &Governor,
     meter_results: bool,
 ) -> Result<Governed<Vec<T>>, EvalError> {
-    let mut out = Vec::new();
+    let total = per_source
+        .iter()
+        .map(|c| c.as_ref().map_or(0, Vec::len))
+        .sum();
+    let mut out = Vec::with_capacity(total);
     for chunk in per_source {
         match chunk {
             Ok(items) => {
-                for item in items {
-                    if meter_results {
-                        if let Err(why) = gov.charge_results(1) {
-                            return Ok(Governed::partial(out, why));
-                        }
+                if meter_results {
+                    if let Err((fit, why)) = gov.charge_results_upto(items.len() as u64) {
+                        out.extend(items.into_iter().take(fit as usize));
+                        return Ok(Governed::partial(out, why));
                     }
-                    out.push(item);
                 }
+                out.extend(items);
             }
             Err(EvalError::Interrupted(why)) => return Ok(Governed::partial(out, why)),
             Err(e) => return Err(e),
@@ -655,19 +506,38 @@ pub fn paths_between<G: PathGraph>(
         .collect()
 }
 
-/// Convenience: all `(start, end)` pairs for `expr` over `g`.
-pub fn eval_pairs<G: PathGraph>(g: &G, expr: &PathExpr) -> Vec<(NodeId, NodeId)> {
-    Evaluator::new(g, expr).pairs()
-}
+#[cfg(test)]
+pub mod test_support {
+    //! Unlimited-governor shorthands for the crate's unit tests.
+    use super::*;
 
-/// Convenience: nodes starting a matching path (node extraction).
-pub fn matching_starts<G: PathGraph>(g: &G, expr: &PathExpr) -> Vec<NodeId> {
-    Evaluator::new(g, expr).matching_starts()
+    /// Compiles `expr` over `g` under an unlimited governor.
+    pub fn compile<G: PathGraph>(g: &G, expr: &PathExpr) -> Evaluator {
+        Evaluator::new_governed(g, expr, &Governor::unlimited()).expect("unlimited compile")
+    }
+
+    /// [`Evaluator::pairs_governed`] under an unlimited governor.
+    pub fn all_pairs(ev: &Evaluator) -> Vec<(NodeId, NodeId)> {
+        let res = ev
+            .pairs_governed(&Governor::unlimited())
+            .expect("unlimited scan");
+        assert!(!res.is_partial());
+        res.value
+    }
+
+    /// [`Evaluator::matching_starts_governed`] under an unlimited governor.
+    pub fn all_starts(ev: &Evaluator) -> Vec<NodeId> {
+        let res = ev
+            .matching_starts_governed(&Governor::unlimited())
+            .expect("unlimited scan");
+        assert!(!res.is_partial());
+        res.value
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::test_support::{all_pairs, all_starts, compile};
     use crate::model::{LabeledView, PropertyView};
     use crate::parser::parse_expr;
     use kgq_graph::figures::{figure2_labeled, figure2_property};
@@ -680,8 +550,8 @@ mod tests {
         let mut g = figure2_labeled();
         let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let starts = ev.matching_starts();
+        let ev = compile(&view, &expr);
+        let starts = all_starts(&ev);
         let names: Vec<_> = starts.iter().map(|&n| g.node_name(n)).collect();
         assert_eq!(names, vec!["n1", "n4"]);
     }
@@ -696,11 +566,11 @@ mod tests {
         )
         .unwrap();
         let view = PropertyView::new(&g);
-        let pairs = eval_pairs(&view, &expr);
+        let answer = all_pairs(&compile(&view, &expr));
         // The only person→infected contact dated 3/4/21 is n4 -e5-> n6
         // (e4 is person→person).
         let lg = g.labeled();
-        let rendered: Vec<_> = pairs
+        let rendered: Vec<_> = answer
             .iter()
             .map(|&(a, b)| (lg.node_name(a), lg.node_name(b)))
             .collect();
@@ -713,7 +583,7 @@ mod tests {
         )
         .unwrap();
         let view = PropertyView::new(&g);
-        assert!(eval_pairs(&view, &expr2).is_empty());
+        assert!(all_pairs(&compile(&view, &expr2)).is_empty());
     }
 
     #[test]
@@ -722,7 +592,7 @@ mod tests {
         // From n1, follow contact edges any number of times.
         let expr = parse_expr("(contact)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         let n1 = g.node_named("n1").unwrap();
         let ends = ev.ends_from(n1);
         let names: Vec<_> = ends.iter().map(|&n| g.node_name(n)).collect();
@@ -735,7 +605,7 @@ mod tests {
         let mut g = figure2_labeled();
         let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         let n1 = g.node_named("n1").unwrap();
         let n2 = g.node_named("n2").unwrap();
         let p = ev.shortest_witness(n1, n2).unwrap();
@@ -752,11 +622,11 @@ mod tests {
         let mut g = figure2_labeled();
         let expr = parse_expr("?bus", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         let n3 = g.node_named("n3").unwrap();
         let p = ev.shortest_witness(n3, n3).unwrap();
         assert!(p.is_empty());
-        assert_eq!(ev.matching_starts(), vec![n3]);
+        assert_eq!(all_starts(&ev), vec![n3]);
     }
 
     #[test]
@@ -764,8 +634,8 @@ mod tests {
         let mut g = figure2_labeled();
         let expr = parse_expr("rides/rides^-", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let pairs = ev.pairs();
+        let ev = compile(&view, &expr);
+        let pairs = all_pairs(&ev);
         for &(a, b) in &pairs {
             assert!(ev.check(a, b));
         }
@@ -803,8 +673,8 @@ mod tests {
         )
         .unwrap();
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let starts = ev.matching_starts();
+        let ev = compile(&view, &expr);
+        let starts = all_starts(&ev);
         let names: Vec<_> = starts.iter().map(|&n| g.node_name(n)).collect();
         // Only the infected rider n2 can start such a path.
         assert_eq!(names, vec!["n2"]);

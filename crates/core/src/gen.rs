@@ -132,8 +132,8 @@ impl UniformSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::count_paths;
-    use crate::enumerate::enumerate_paths;
+    use crate::count::ExactCounter;
+    use crate::enumerate::PathEnumerator;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
@@ -149,7 +149,10 @@ mod tests {
         let view = LabeledView::new(&g);
         for k in 0..=4 {
             let sampler = UniformSampler::new(&view, &e, k).unwrap();
-            assert_eq!(sampler.total(), count_paths(&view, &e, k).unwrap());
+            assert_eq!(
+                sampler.total(),
+                ExactCounter::new(&view, &e).count(k).unwrap()
+            );
         }
     }
 
@@ -159,7 +162,7 @@ mod tests {
         let e = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let sampler = UniformSampler::new(&view, &e, 2).unwrap();
-        let answers = enumerate_paths(&view, &e, 2);
+        let answers = PathEnumerator::new(&view, &e, 2).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
             let p = sampler.sample(&mut rng).unwrap();
@@ -188,7 +191,7 @@ mod tests {
         let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
         let k = 3;
-        let answers = enumerate_paths(&view, &e, k);
+        let answers = PathEnumerator::new(&view, &e, k).collect::<Vec<_>>();
         let c = answers.len();
         assert!(c >= 5, "want a few categories, got {c}");
         let sampler = UniformSampler::new(&view, &e, k).unwrap();

@@ -18,8 +18,8 @@
 //!   reports.
 //! * [`Ticker`] — a per-worker batching handle: hot loops tick once per
 //!   unit of work, and only every [`Ticker::BATCH`] ticks is the shared
-//!   governor (atomics + clock) consulted, keeping the governed path
-//!   within a few percent of the ungoverned one.
+//!   governor (atomics + clock) consulted, keeping accounting within a
+//!   few percent of the uncounted work.
 //! * [`Interrupt`] / [`EvalError`] — the typed taxonomy every governed
 //!   entry point returns instead of panicking or running forever.
 //! * [`Governed`] / [`Completion`] — a result wrapper that distinguishes
@@ -47,9 +47,9 @@ use std::time::{Duration, Instant};
 
 /// Declarative resource limits for one query evaluation.
 ///
-/// `None` everywhere (the [`Budget::unlimited`] default) means the
-/// governed code paths run to completion, byte-identical to their
-/// ungoverned counterparts.
+/// `None` everywhere (the [`Budget::unlimited`] default) means every
+/// governed entry point runs to completion with its full answer; that
+/// is what a caller with no budget passes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Wall-clock limit, measured from [`Governor`] construction.
@@ -92,11 +92,6 @@ impl Budget {
     pub fn with_max_results(mut self, n: u64) -> Budget {
         self.max_results = Some(n);
         self
-    }
-
-    /// True when no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Budget::default()
     }
 }
 
@@ -250,6 +245,29 @@ impl<T> Governed<T> {
     /// True when the answer is a partial prefix.
     pub fn is_partial(&self) -> bool {
         !self.completion.is_complete()
+    }
+
+    /// Transforms the value, keeping completion and degradation.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Governed<U> {
+        Governed {
+            value: f(self.value),
+            completion: self.completion,
+            degraded: self.degraded,
+        }
+    }
+
+    /// Appends the trailer lines that mark an incomplete or downgraded
+    /// answer — `# partial: REASON` and `# degraded: …` — to a rendered
+    /// body (the CLI and `kgq serve` share this format). Returns whether
+    /// the answer is partial.
+    pub fn write_trailer(&self, out: &mut String) -> bool {
+        if let Completion::Partial(why) = &self.completion {
+            out.push_str(&format!("# partial: {why}\n"));
+        }
+        if self.degraded {
+            out.push_str("# degraded: exact budget exhausted, approximate estimate\n");
+        }
+        self.is_partial()
     }
 }
 
@@ -444,6 +462,25 @@ impl Governor {
             });
     }
 
+    /// Charges a batch of `n` materialized answers at once, with the cut
+    /// point of `n` single [`Governor::charge_results`]`(1)` calls: on
+    /// `Err((fit, why))` only the first `fit` answers are within budget.
+    /// One atomic per batch instead of one per answer.
+    pub fn charge_results_upto(&self, n: u64) -> Result<(), (u64, Interrupt)> {
+        if n == 0 {
+            return Ok(());
+        }
+        if let Some(t) = self.trip_state() {
+            return Err((0, t));
+        }
+        let before = self.results.fetch_add(n, Ordering::Relaxed);
+        let fit = self.max_results.saturating_sub(before).min(n);
+        if fit < n {
+            return Err((fit, self.trip(Interrupt::ResultBudget)));
+        }
+        Ok(())
+    }
+
     /// Charges `n` materialized answers.
     pub fn charge_results(&self, n: u64) -> Result<(), Interrupt> {
         let total = self
@@ -494,11 +531,6 @@ impl<'g> Ticker<'g> {
             gov: None,
             pending: 0,
         }
-    }
-
-    /// The governor this ticker charges, if any.
-    pub fn governor(&self) -> Option<&'g Governor> {
-        self.gov
     }
 
     /// Records one unit of work; consults the governor at batch

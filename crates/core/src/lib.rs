@@ -65,15 +65,12 @@ pub use approx::{
 pub use automata::{MinimizedNfa, Nfa, NfaSignature};
 pub use bitkernel::ReachKernel;
 pub use cache::{CacheStats, CompiledQuery, QueryCache};
-pub use count::{
-    count_paths, count_paths_analyzed, count_paths_governed, count_paths_naive, CountError,
-    CountOutcome, ExactCounter,
-};
+pub use count::{count_paths_governed, count_paths_naive, CountError, CountOutcome, ExactCounter};
 pub use enumerate::{
-    enumerate_paths, enumerate_paths_governed, enumerate_paths_resumed, enumerate_paths_upto,
-    Cursor, CursorError, EnumerationPage, PathEnumerator,
+    enumerate_paths_governed, enumerate_paths_resumed, enumerate_paths_upto, Cursor, CursorError,
+    EnumerationPage, PathEnumerator,
 };
-pub use eval::{eval_pairs, matching_starts, paths_between, Evaluator};
+pub use eval::{paths_between, Evaluator};
 pub use expr::{PathExpr, Test};
 pub use gen::UniformSampler;
 pub use govern::{

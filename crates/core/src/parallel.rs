@@ -1,6 +1,6 @@
 //! Threading control for the multi-source evaluation scans.
 //!
-//! The parallel entry points ([`crate::eval::Evaluator::pairs`],
+//! The parallel entry points ([`crate::eval::Evaluator::pairs_governed`],
 //! [`crate::count::count_paths_naive`],
 //! [`crate::approx::approx_count_amplified`]) all follow the same
 //! discipline: split work into *units* that are computed independently

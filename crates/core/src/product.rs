@@ -19,7 +19,7 @@
 //! of per-state heap allocations. The DP passes in [`crate::count`],
 //! [`crate::approx`] and [`crate::gen`] stream over these slices, so the
 //! layout keeps them cache-friendly and makes the product cheap to share
-//! across threads ([`crate::eval::Evaluator::pairs`]).
+//! across threads ([`crate::eval::Evaluator::pairs_governed`]).
 //!
 //! Because several NFA runs can accept the same word, counting accepting
 //! runs of the product over-counts *paths*. [`DetProduct`] applies the

@@ -806,7 +806,7 @@ pub fn triangle_count<A: LabelAdjacency>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_pairs;
+    use crate::eval::test_support::{all_pairs, compile};
     use crate::govern::Budget;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
@@ -853,7 +853,7 @@ mod tests {
         let mut g = g.clone();
         let expr = parse_expr(expr_src, g.consts_mut()).expect("parse");
         let view = LabeledView::new(&g);
-        let mut pairs: Vec<(u32, u32)> = eval_pairs(&view, &expr)
+        let mut pairs: Vec<(u32, u32)> = all_pairs(&compile(&view, &expr))
             .into_iter()
             .map(|(s, t)| (s.0, t.0))
             .collect();

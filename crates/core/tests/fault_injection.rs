@@ -26,6 +26,18 @@ use kgq_graph::generate::gnm_labeled;
 use std::sync::{Mutex, MutexGuard, Once};
 use std::time::Duration;
 
+/// Compiles `expr` over `g` under an unlimited governor.
+fn compile<G: kgq_core::model::PathGraph>(g: &G, expr: &kgq_core::PathExpr) -> kgq_core::Evaluator {
+    kgq_core::Evaluator::new_governed(g, expr, &kgq_core::Governor::unlimited()).unwrap()
+}
+
+/// `pairs_governed` under an unlimited governor.
+fn pairs(ev: &kgq_core::Evaluator) -> Vec<(kgq_graph::NodeId, kgq_graph::NodeId)> {
+    let res = ev.pairs_governed(&kgq_core::Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
+
 /// Every compiled-in fault site.
 const SITES: [&str; 8] = [
     "product::build",
@@ -98,7 +110,7 @@ fn injected_compile_panic_is_typed_and_never_poisons_the_cache() {
     let _guard = serial();
     let (g, e) = setup();
     let view = LabeledView::new(&g);
-    let cold = Evaluator::new(&view, &e).pairs();
+    let cold = compile(&view, &e).pairs_sequential();
     let cache = QueryCache::new();
     fault::arm("cache::compile", fault::Action::Panic, 0);
     let err = cache
@@ -114,7 +126,7 @@ fn injected_compile_panic_is_typed_and_never_poisons_the_cache() {
     let retry = cache
         .get_or_compile_governed(&view, 0, &e, &Governor::unlimited())
         .unwrap();
-    assert_eq!(retry.evaluator().pairs(), cold);
+    assert_eq!(pairs(&retry.evaluator()), cold);
 }
 
 #[test]
@@ -136,8 +148,8 @@ fn injected_worker_panic_is_isolated_at_every_thread_count() {
     let _guard = serial();
     let (g, e) = setup_batched();
     let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &e);
-    let reference = ev.pairs();
+    let ev = compile(&view, &e);
+    let reference = ev.pairs_sequential();
     for threads in [1, 2, 4] {
         set_threads(threads);
         fault::arm("eval::bfs", fault::Action::Panic, 3);
@@ -178,8 +190,8 @@ fn starvation_trips_the_step_budget_and_partials_are_prefixes() {
     set_threads(1);
     let (g, e) = setup_batched();
     let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &e);
-    let full = ev.pairs();
+    let ev = compile(&view, &e);
+    let full = ev.pairs_sequential();
     // Every governor consultation from the third onward reports
     // starvation: the scan trips mid-way and must return a clean prefix.
     fault::arm_persistent("govern::tick", fault::Action::Starve, 2);

@@ -17,6 +17,27 @@ use kgq_graph::LabeledGraph;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Compiles `expr` over `g` under an unlimited governor.
+fn compile<G: kgq_core::model::PathGraph>(g: &G, expr: &kgq_core::PathExpr) -> kgq_core::Evaluator {
+    kgq_core::Evaluator::new_governed(g, expr, &kgq_core::Governor::unlimited()).unwrap()
+}
+
+/// `pairs_governed` under an unlimited governor.
+fn pairs(ev: &kgq_core::Evaluator) -> Vec<(kgq_graph::NodeId, kgq_graph::NodeId)> {
+    let res = ev.pairs_governed(&kgq_core::Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
+
+/// `matching_starts_governed` under an unlimited governor.
+fn starts(ev: &kgq_core::Evaluator) -> Vec<kgq_graph::NodeId> {
+    let res = ev
+        .matching_starts_governed(&kgq_core::Governor::unlimited())
+        .unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
+
 /// Expression pool mixing live labels with `ghost`/`phantom` (absent
 /// from every generated graph) so emptiness verdicts of both polarities
 /// are exercised, plus contradictions and dead star bodies.
@@ -91,10 +112,10 @@ proptest! {
         let schema = SchemaSummary::from_labeled(&g);
         let report = analyze_expr(&expr, &schema, None);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         for &t in &THREAD_COUNTS {
             set_threads(t);
-            let pairs = ev.pairs();
+            let pairs = pairs(&ev);
             if report.is_provably_empty() {
                 // Deny[empty-language] is a *proof*: zero pairs, always.
                 prop_assert!(pairs.is_empty(), "threads={} verdict=empty but {} pairs", t, pairs.len());
@@ -122,15 +143,13 @@ proptest! {
     }
 
     #[test]
-    fn plan_advice_never_changes_output_bytes(spec in spec_strategy()) {
+    fn named_plan_is_the_kernel_and_matches_the_sequential_scan(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
+        let report = analyze_expr(&expr, &SchemaSummary::from_labeled(&g), None);
+        prop_assert_eq!(report.plan, PlanAdvice::BitParallel);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let ref_pairs = ev.pairs_planned(PlanAdvice::Sequential);
-        let ref_starts = ev.matching_starts_planned(PlanAdvice::Sequential);
-        for advice in [PlanAdvice::BitParallel, PlanAdvice::Bidirectional] {
-            prop_assert_eq!(&ev.pairs_planned(advice), &ref_pairs, "{:?}", advice);
-            prop_assert_eq!(&ev.matching_starts_planned(advice), &ref_starts, "{:?}", advice);
-        }
+        let ev = compile(&view, &expr);
+        prop_assert_eq!(pairs(&ev), ev.pairs_sequential());
+        prop_assert_eq!(starts(&ev), ev.matching_starts_sequential());
     }
 }

@@ -5,9 +5,8 @@
 //! cursor replaying the remainder to exactly the full set.
 
 use kgq_core::cache::QueryCache;
-use kgq_core::count::{count_paths, count_paths_governed, CountOutcome};
-use kgq_core::enumerate::{enumerate_paths, enumerate_paths_governed, enumerate_paths_resumed};
-use kgq_core::eval::Evaluator;
+use kgq_core::count::{count_paths_governed, count_paths_naive, CountOutcome};
+use kgq_core::enumerate::{enumerate_paths_governed, enumerate_paths_resumed, PathEnumerator};
 use kgq_core::govern::{Budget, CancelToken, Completion, Governor};
 use kgq_core::model::LabeledView;
 use kgq_core::parallel::set_threads;
@@ -15,6 +14,18 @@ use kgq_core::parser::parse_expr;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
 use kgq_graph::LabeledGraph;
 use proptest::prelude::*;
+
+/// Compiles `expr` over `g` under an unlimited governor.
+fn compile<G: kgq_core::model::PathGraph>(g: &G, expr: &kgq_core::PathExpr) -> kgq_core::Evaluator {
+    kgq_core::Evaluator::new_governed(g, expr, &kgq_core::Governor::unlimited()).unwrap()
+}
+
+/// `pairs_governed` under an unlimited governor.
+fn pairs(ev: &kgq_core::Evaluator) -> Vec<(kgq_graph::NodeId, kgq_graph::NodeId)> {
+    let res = ev.pairs_governed(&kgq_core::Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
 
 const ER_EXPRS: [&str; 4] = ["(p+q)*", "p/q^-", "?a/(p)*", "(p/q)*+q^-"];
 const BA_EXPRS: [&str; 3] = ["(link)*", "link/link^-", "?v/(link+link^-)*"];
@@ -67,11 +78,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn unlimited_governed_pairs_equal_ungoverned_at_every_thread_count(spec in spec_strategy()) {
+    fn unlimited_governed_pairs_equal_sequential_at_every_thread_count(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let reference = ev.pairs();
+        let ev = compile(&view, &expr);
+        let reference = ev.pairs_sequential();
         for &t in &THREAD_COUNTS {
             set_threads(t);
             let gov = Governor::unlimited();
@@ -83,11 +94,11 @@ proptest! {
     }
 
     #[test]
-    fn unlimited_governed_starts_equal_ungoverned_at_every_thread_count(spec in spec_strategy()) {
+    fn unlimited_governed_starts_equal_sequential_at_every_thread_count(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let reference = ev.matching_starts();
+        let ev = compile(&view, &expr);
+        let reference = ev.matching_starts_sequential();
         for &t in &THREAD_COUNTS {
             set_threads(t);
             let gov = Governor::unlimited();
@@ -102,7 +113,7 @@ proptest! {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
         let k = 3;
-        let exact = count_paths(&view, &expr, k).unwrap();
+        let exact = count_paths_naive(&view, &expr, k);
         let res =
             count_paths_governed(&view, &expr, k, &Budget::default(), CancelToken::new()).unwrap();
         prop_assert!(!res.degraded);
@@ -116,8 +127,8 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let full = ev.pairs();
+        let ev = compile(&view, &expr);
+        let full = ev.pairs_sequential();
         let gov = Governor::new(&Budget::default().with_max_results(cap));
         let res = ev.pairs_governed(&gov).unwrap();
         let took = res.value.len();
@@ -138,8 +149,8 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let full = ev.pairs();
+        let ev = compile(&view, &expr);
+        let full = ev.pairs_sequential();
         let gov = Governor::new(&Budget::default().with_max_steps(steps));
         let res = ev.pairs_governed(&gov).unwrap();
         let took = res.value.len();
@@ -156,8 +167,8 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let full = ev.pairs();
+        let ev = compile(&view, &expr);
+        let full = ev.pairs_sequential();
         let gov = Governor::new(
             &Budget::default().with_deadline(std::time::Duration::from_micros(micros)),
         );
@@ -176,8 +187,8 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let full = ev.matching_starts();
+        let ev = compile(&view, &expr);
+        let full = ev.matching_starts_sequential();
         let gov = Governor::new(&Budget::default().with_max_steps(steps));
         let res = ev.matching_starts_governed(&gov).unwrap();
         let took = res.value.len();
@@ -195,7 +206,7 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let full = enumerate_paths(&view, &expr, k);
+        let full: Vec<_> = PathEnumerator::new(&view, &expr, k).collect();
         // Page through with a per-page result budget; chain cursors
         // until the enumeration reports complete.
         let mut collected = Vec::new();
@@ -218,7 +229,7 @@ proptest! {
     fn governed_cache_hit_is_byte_identical_to_cold_evaluation(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let cold_pairs = Evaluator::new(&view, &expr).pairs();
+        let cold_pairs = compile(&view, &expr).pairs_sequential();
         let cache = QueryCache::new();
         cache
             .get_or_compile_governed(&view, 0, &expr, &Governor::unlimited())
@@ -227,6 +238,6 @@ proptest! {
             .get_or_compile_governed(&view, 0, &expr, &Governor::unlimited())
             .unwrap();
         prop_assert_eq!(cache.hits(), 1);
-        prop_assert_eq!(warm.evaluator().pairs(), cold_pairs);
+        prop_assert_eq!(pairs(&warm.evaluator()), cold_pairs);
     }
 }

@@ -6,13 +6,34 @@
 
 use kgq_core::cache::QueryCache;
 use kgq_core::count::{count_paths_naive, ExactCounter};
-use kgq_core::eval::Evaluator;
+use kgq_core::govern::Governor;
 use kgq_core::model::LabeledView;
 use kgq_core::parallel::set_threads;
 use kgq_core::parser::parse_expr;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
 use kgq_graph::LabeledGraph;
 use proptest::prelude::*;
+
+/// Compiles `expr` over `g` under an unlimited governor.
+fn compile<G: kgq_core::model::PathGraph>(g: &G, expr: &kgq_core::PathExpr) -> kgq_core::Evaluator {
+    kgq_core::Evaluator::new_governed(g, expr, &kgq_core::Governor::unlimited()).unwrap()
+}
+
+/// `pairs_governed` under an unlimited governor.
+fn pairs(ev: &kgq_core::Evaluator) -> Vec<(kgq_graph::NodeId, kgq_graph::NodeId)> {
+    let res = ev.pairs_governed(&kgq_core::Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
+
+/// `matching_starts_governed` under an unlimited governor.
+fn starts(ev: &kgq_core::Evaluator) -> Vec<kgq_graph::NodeId> {
+    let res = ev
+        .matching_starts_governed(&kgq_core::Governor::unlimited())
+        .unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
 
 const ER_EXPRS: [&str; 4] = ["(p+q)*", "p/q^-", "?a/(p)*", "(p/q)*+q^-"];
 const BA_EXPRS: [&str; 3] = ["(link)*", "link/link^-", "?v/(link+link^-)*"];
@@ -68,11 +89,11 @@ proptest! {
     fn parallel_pairs_equal_sequential_at_every_thread_count(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         let reference = ev.pairs_sequential();
         for &t in &THREAD_COUNTS {
             set_threads(t);
-            prop_assert_eq!(&ev.pairs(), &reference, "threads={}", t);
+            prop_assert_eq!(&pairs(&ev), &reference, "threads={}", t);
         }
     }
 
@@ -80,11 +101,11 @@ proptest! {
     fn parallel_matching_starts_equal_sequential(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         let reference = ev.matching_starts_sequential();
         for &t in &THREAD_COUNTS {
             set_threads(t);
-            prop_assert_eq!(&ev.matching_starts(), &reference, "threads={}", t);
+            prop_assert_eq!(&starts(&ev), &reference, "threads={}", t);
         }
     }
 
@@ -106,7 +127,7 @@ proptest! {
     ) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         for &t in &THREAD_COUNTS {
             set_threads(t);
             for a in g.base().nodes() {
@@ -126,7 +147,7 @@ proptest! {
     fn bidirectional_witness_length_matches_sequential(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
+        let ev = compile(&view, &expr);
         for &t in &THREAD_COUNTS {
             set_threads(t);
             for a in g.base().nodes() {
@@ -149,13 +170,14 @@ proptest! {
     fn cache_hit_is_byte_identical_to_cold_evaluation(spec in spec_strategy()) {
         let (g, expr) = build(&spec);
         let view = LabeledView::new(&g);
-        let cold_pairs = Evaluator::new(&view, &expr).pairs();
-        let cold_starts = Evaluator::new(&view, &expr).matching_starts();
+        let cold = compile(&view, &expr);
+        let (cold_pairs, cold_starts) = (cold.pairs_sequential(), cold.matching_starts_sequential());
         let cache = QueryCache::new();
-        cache.get_or_compile(&view, 0, &expr);
-        let warm = cache.get_or_compile(&view, 0, &expr);
+        let unlimited = Governor::unlimited();
+        cache.get_or_compile_governed(&view, 0, &expr, &unlimited).unwrap();
+        let warm = cache.get_or_compile_governed(&view, 0, &expr, &unlimited).unwrap();
         prop_assert_eq!(cache.hits(), 1);
-        prop_assert_eq!(warm.evaluator().pairs(), cold_pairs);
-        prop_assert_eq!(warm.evaluator().matching_starts(), cold_starts);
+        prop_assert_eq!(pairs(&warm.evaluator()), cold_pairs);
+        prop_assert_eq!(starts(&warm.evaluator()), cold_starts);
     }
 }

@@ -4,7 +4,8 @@
 //! adjacency at every chunk count, and agree (as a set) with the
 //! product-automaton evaluator.
 
-use kgq_core::eval::eval_pairs;
+use kgq_core::eval::Evaluator;
+use kgq_core::govern::Governor;
 use kgq_core::model::LabeledView;
 use kgq_core::parser::parse_expr;
 use kgq_core::scale::{LabelDfa, PackedAdjacency, RawAdjacency, ScaleEvaluator};
@@ -86,7 +87,9 @@ proptest! {
 
         // Oracle: the product-automaton evaluator over the same graph.
         let view = LabeledView::new(&g);
-        let mut oracle: Vec<(u32, u32)> = eval_pairs(&view, &expr)
+        let mut oracle: Vec<(u32, u32)> = Evaluator::new_governed(&view, &expr, &Governor::unlimited())
+            .unwrap()
+            .pairs_sequential()
             .into_iter()
             .map(|(s, t)| (s.0, t.0))
             .collect();

@@ -5,13 +5,20 @@
 
 use kgq_core::automata::Nfa;
 use kgq_core::count::{count_paths_naive, ExactCounter};
-use kgq_core::enumerate::enumerate_paths;
+use kgq_core::enumerate::enumerate_paths_governed;
 use kgq_core::expr::{PathExpr, Test};
 use kgq_core::gen::UniformSampler;
 use kgq_core::model::{LabeledView, PathGraph};
 use kgq_core::product::Product;
 use kgq_graph::{LabeledGraph, NodeId};
 use proptest::prelude::*;
+
+/// `enumerate_paths_governed` under an unlimited governor.
+fn enumerate_paths<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> Vec<kgq_core::Path> {
+    let res = enumerate_paths_governed(g, expr, k, &kgq_core::Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value.paths
+}
 
 const NODE_LABELS: [&str; 2] = ["a", "b"];
 const EDGE_LABELS: [&str; 2] = ["p", "q"];

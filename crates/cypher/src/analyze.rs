@@ -4,7 +4,7 @@
 //! labels, property keys and `(key, value)` pairs a query mentions are
 //! checked against a [`SchemaSummary`] harvested from the target graph,
 //! and provably-empty queries are flagged with `Deny` diagnostics so
-//! [`crate::exec::execute_cached`] can short-circuit without compiling a
+//! [`crate::exec::execute_governed`] can short-circuit without compiling a
 //! prefilter. The emitted [`Report`] reuses the core diagnostic and
 //! rendering machinery, so `kgq cypher --explain` prints the same
 //! severity/caret/verdict shape as `kgq query --explain`.
@@ -45,7 +45,7 @@ enum VarKind {
 ///
 /// `source`, when given, is the original query text; it enables byte-span
 /// carets in rendered diagnostics. The report's `provably_empty` flag is
-/// the executor's short-circuit signal: when set, `execute` over this
+/// the executor's short-circuit signal: when set, `execute_governed` over this
 /// graph is guaranteed to return zero rows.
 pub fn analyze_query(g: &PropertyGraph, query: &Query, source: Option<&str>) -> Report {
     let schema = SchemaSummary::from_property(g);
@@ -280,14 +280,18 @@ pub fn analyze_query(g: &PropertyGraph, query: &Query, source: Option<&str>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::exec::execute_governed;
     use crate::parser::parse_query;
+    use kgq_core::{Governor, QueryCache};
     use kgq_graph::figures::figure2_property;
 
     fn report_for(text: &str) -> (Report, usize) {
         let g = figure2_property();
         let q = parse_query(text).unwrap();
-        let rows = execute(&g, &q).len();
+        let rows = execute_governed(&g, &q, &QueryCache::new(), &Governor::unlimited())
+            .unwrap()
+            .value
+            .len();
         (analyze_query(&g, &q, Some(text)), rows)
     }
 

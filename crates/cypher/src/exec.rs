@@ -9,11 +9,12 @@
 //! * `WHERE` comparisons against a missing property are not satisfied
 //!   (Cypher's NULL semantics: neither `=` nor `<>` is true).
 //!
-//! Governed execution ([`execute_governed`]) threads a
+//! [`execute_governed`], the one execution entry point, threads a
 //! [`kgq_core::govern::Governor`] through the whole pipeline: prefilter
 //! compilation, the prefilter reachability scan, and every step of the
 //! backtracking search, which stops at a budget boundary and returns the
-//! rows found so far as a typed partial result.
+//! rows found so far as a typed partial result. With no budget, pass
+//! [`Governor::unlimited`].
 
 use crate::ast::{CmpOp, Direction, PathPattern, Query, ReturnItem};
 use kgq_core::cache::QueryCache;
@@ -45,20 +46,10 @@ struct Ctx<'a> {
     /// beats a `HashSet` here: the lists are built once, probed many
     /// times, and stay cache-resident.
     start_filter: Vec<Option<Vec<NodeId>>>,
-    /// Step accounting for governed execution (a no-op ticker otherwise).
+    /// Step accounting.
     ticker: Ticker<'a>,
-    /// Result accounting for governed execution.
-    gov: Option<&'a Governor>,
-}
-
-/// Executes a parsed query against a property graph.
-///
-/// Returns one row per solution, in a deterministic (search) order.
-/// Unknown variables in `WHERE`/`RETURN` simply never match / produce
-/// empty strings — mirroring the forgiving behavior of the text format.
-pub fn execute(g: &PropertyGraph, query: &Query) -> Vec<Row> {
-    let filters = vec![None; query.patterns.len()];
-    execute_with_filters(g, query, filters)
+    /// Result accounting.
+    gov: &'a Governor,
 }
 
 /// How a pattern chain translates into a path expression for pruning.
@@ -106,84 +97,32 @@ fn pattern_prefilter(g: &PropertyGraph, pattern: &PathPattern) -> Prefilter {
     Prefilter::Expr(expr)
 }
 
-/// Executes a parsed query, pruning each fully labeled pattern chain
-/// through `cache`: the chain is compiled to a path expression (reusing
-/// a cached graph × NFA product when the graph generation matches) and
-/// start candidates are restricted to its `matching_starts` set. Falls
-/// back to plain [`execute`] behavior for chains with unlabeled
-/// elements. Results are identical to [`execute`].
-pub fn execute_cached(g: &PropertyGraph, query: &Query, cache: &QueryCache) -> Vec<Row> {
-    // Static analysis first: a provably-empty query (unknown label,
-    // contradictory WHERE, …) returns without compiling anything, and
-    // the skipped compilation is visible in the cache stats.
-    let report = crate::analyze::analyze_query(g, query, None);
-    if report.is_provably_empty() {
-        cache.note_short_circuit();
-        return Vec::new();
-    }
-    let generation = g.generation();
-    let view = PropertyView::new(g);
-    let mut filters: Vec<Option<Vec<NodeId>>> = Vec::with_capacity(query.patterns.len());
-    for pattern in &query.patterns {
-        match pattern_prefilter(g, pattern) {
-            Prefilter::NotApplicable => filters.push(None),
-            Prefilter::Empty => return Vec::new(),
-            Prefilter::Expr(e) => {
-                // `matching_starts` runs on the 64-source bit-parallel
-                // reachability kernel, so the prefilter costs one sweep
-                // over the product per 64 candidate nodes (unless the
-                // analyzer advised a sequential scan for this graph).
-                let compiled = cache.get_or_compile(&view, generation, &e);
-                let mut starts = compiled.evaluator().matching_starts_planned(report.plan);
-                starts.sort_unstable();
-                if starts.is_empty() {
-                    // MATCH patterns are conjunctive: one unmatchable
-                    // chain empties the whole result.
-                    return Vec::new();
-                }
-                filters.push(Some(starts));
-            }
-        }
-    }
-    execute_with_filters(g, query, filters)
-}
-
-fn execute_with_filters(
-    g: &PropertyGraph,
-    query: &Query,
-    start_filter: Vec<Option<Vec<NodeId>>>,
-) -> Vec<Row> {
-    let mut ctx = Ctx {
-        g,
-        query,
-        env: HashMap::new(),
-        used_edges: Vec::new(),
-        out: Vec::new(),
-        start_filter,
-        ticker: Ticker::none(),
-        gov: None,
-    };
-    match match_pattern(&mut ctx, 0) {
-        Ok(()) => ctx.out,
-        Err(i) => unreachable!("ungoverned match interrupted: {i}"),
-    }
-}
-
-/// Governed [`execute_cached`]: prefilter compilation, the prefilter
-/// scans, and the backtracking search all run under `gov`. Exhaustion
+/// Executes a parsed query against a property graph.
+///
+/// Returns one row per solution, in a deterministic (search) order.
+/// Unknown variables in `WHERE`/`RETURN` simply never match / produce
+/// empty strings — mirroring the forgiving behavior of the text format.
+///
+/// Each fully labeled pattern chain is pruned through `cache`: the chain
+/// is compiled to a path expression (reusing a cached graph × NFA
+/// product when the graph generation matches) and start candidates are
+/// restricted to its `matching_starts` set; chains with unlabeled
+/// elements are not pruned. Prefilter compilation, the prefilter scans,
+/// and the backtracking search all run under `gov`. Exhaustion
 /// mid-search returns the rows found so far as a
 /// [`kgq_core::govern::Completion::Partial`] result (rows appear in the
-/// same deterministic search order as [`execute`], so the partial value
-/// is a prefix of the full row list); worker panics surface as
-/// [`EvalError::Panic`].
+/// deterministic search order, so the partial value is a prefix of the
+/// full row list); worker panics surface as [`EvalError::Panic`].
 pub fn execute_governed(
     g: &PropertyGraph,
     query: &Query,
     cache: &QueryCache,
     gov: &Governor,
 ) -> Result<Governed<Vec<Row>>, EvalError> {
-    // Same analyzer short-circuit as `execute_cached`: a provably-empty
-    // query completes instantly without charging the governor.
+    // Static analysis first: a provably-empty query (unknown label,
+    // contradictory WHERE, …) completes instantly without compiling
+    // anything or charging the governor, and the skipped compilation is
+    // visible in the cache stats.
     let report = crate::analyze::analyze_query(g, query, None);
     if report.is_provably_empty() {
         cache.note_short_circuit();
@@ -242,7 +181,7 @@ pub fn execute_governed(
             out: Vec::new(),
             start_filter: filters,
             ticker: Ticker::new(gov),
-            gov: Some(gov),
+            gov,
         };
         Ok(match match_pattern(&mut ctx, 0) {
             Ok(()) => Governed::complete(ctx.out),
@@ -282,9 +221,7 @@ fn bind_node(ctx: &mut Ctx<'_>, var: &Option<String>, n: NodeId) -> Result<Optio
 fn match_pattern(ctx: &mut Ctx<'_>, pat_idx: usize) -> Result<(), Interrupt> {
     if pat_idx == ctx.query.patterns.len() {
         if where_holds(ctx) {
-            if let Some(gov) = ctx.gov {
-                gov.charge_results(1)?;
-            }
+            ctx.gov.charge_results(1)?;
             let row = project(ctx);
             ctx.out.push(row);
         }
@@ -442,10 +379,35 @@ mod tests {
     use crate::parser::parse_query;
     use kgq_graph::figures::figure2_property;
 
+    /// [`execute_governed`] with a fresh cache and no budget.
+    fn rows_of(g: &PropertyGraph, query: &Query, cache: &QueryCache) -> Vec<Row> {
+        let res = execute_governed(g, query, cache, &Governor::unlimited()).unwrap();
+        assert!(!res.is_partial());
+        res.value
+    }
+
+    /// The backtracking search with no reachability prefilter — the
+    /// oracle the prefiltered executor must agree with.
+    fn unfiltered(g: &PropertyGraph, query: &Query) -> Vec<Row> {
+        let gov = Governor::unlimited();
+        let mut ctx = Ctx {
+            g,
+            query,
+            env: HashMap::new(),
+            used_edges: Vec::new(),
+            out: Vec::new(),
+            start_filter: vec![None; query.patterns.len()],
+            ticker: Ticker::new(&gov),
+            gov: &gov,
+        };
+        match_pattern(&mut ctx, 0).unwrap();
+        ctx.out
+    }
+
     fn run(query: &str) -> Vec<Row> {
         let g = figure2_property();
         let q = parse_query(query).unwrap();
-        let mut rows = execute(&g, &q);
+        let mut rows = rows_of(&g, &q, &QueryCache::new());
         rows.sort();
         rows
     }
@@ -531,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_execution_matches_plain_execution() {
+    fn prefiltered_execution_matches_the_unfiltered_search() {
         let g = figure2_property();
         let cache = QueryCache::new();
         for query in [
@@ -544,7 +506,7 @@ mod tests {
             "MATCH (:company)-[:owns]->(b) RETURN b",
         ] {
             let q = parse_query(query).unwrap();
-            assert_eq!(execute_cached(&g, &q, &cache), execute(&g, &q), "{query}");
+            assert_eq!(rows_of(&g, &q, &cache), unfiltered(&g, &q), "{query}");
         }
     }
 
@@ -553,9 +515,9 @@ mod tests {
         let g = figure2_property();
         let cache = QueryCache::new();
         let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
-        execute_cached(&g, &q, &cache);
+        rows_of(&g, &q, &cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        execute_cached(&g, &q, &cache);
+        rows_of(&g, &q, &cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -564,7 +526,7 @@ mod tests {
         let g = figure2_property();
         let cache = QueryCache::new();
         let q = parse_query("MATCH (p:ghost)-[:rides]->(b:bus) RETURN p").unwrap();
-        assert!(execute_cached(&g, &q, &cache).is_empty());
+        assert!(rows_of(&g, &q, &cache).is_empty());
         // Nothing was compiled: the label is not even in the universe.
         assert_eq!(cache.misses(), 0);
     }
@@ -574,11 +536,11 @@ mod tests {
         let mut g = figure2_property();
         let cache = QueryCache::new();
         let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
-        let before = execute_cached(&g, &q, &cache);
+        let before = rows_of(&g, &q, &cache);
         let p9 = g.add_node("n9", "person").unwrap();
         let bus = g.labeled().node_named("n3").unwrap();
         g.add_edge("e9", p9, bus, "rides").unwrap();
-        let after = execute_cached(&g, &q, &cache);
+        let after = rows_of(&g, &q, &cache);
         // The new rider is visible: the stale product was not reused.
         assert_eq!(after.len(), before.len() + 1);
         assert_eq!(cache.misses(), 2);

@@ -25,12 +25,15 @@
 //! constrained pattern element first.
 //!
 //! ```
+//! use kgq_core::{Governor, QueryCache};
+//! use kgq_cypher::{execute_governed, parse_query};
 //! use kgq_graph::figures::figure2_property;
-//! use kgq_cypher::{execute, parse_query};
 //!
 //! let g = figure2_property();
 //! let q = parse_query("MATCH (p:person) WHERE p.age = '33' RETURN p.name").unwrap();
-//! assert_eq!(execute(&g, &q), vec![vec!["Julia".to_string()]]);
+//! // No budget: an unlimited governor.
+//! let rows = execute_governed(&g, &q, &QueryCache::new(), &Governor::unlimited()).unwrap();
+//! assert_eq!(rows.value, vec![vec!["Julia".to_string()]]);
 //! ```
 
 pub mod analyze;
@@ -40,5 +43,5 @@ pub mod parser;
 
 pub use analyze::analyze_query;
 pub use ast::{Direction, Query};
-pub use exec::{execute, execute_cached, execute_governed, Row};
+pub use exec::{execute_governed, Row};
 pub use parser::{parse_query, QueryParseError};

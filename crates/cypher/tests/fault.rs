@@ -6,7 +6,7 @@
 
 use kgq_core::cache::QueryCache;
 use kgq_core::govern::{fault, EvalError, Governor};
-use kgq_cypher::{execute_cached, execute_governed, parse_query};
+use kgq_cypher::{execute_governed, parse_query};
 use kgq_graph::figures::figure2_property;
 
 #[test]
@@ -14,7 +14,9 @@ fn injected_match_panic_is_typed_and_the_cache_survives() {
     let g = figure2_property();
     let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
     let cache = QueryCache::new();
-    let reference = execute_cached(&g, &q, &cache);
+    let reference = execute_governed(&g, &q, &cache, &Governor::unlimited())
+        .unwrap()
+        .value;
 
     fault::arm("cypher::match", fault::Action::Panic, 0);
     let err = execute_governed(&g, &q, &cache, &Governor::unlimited()).unwrap_err();

@@ -1,9 +1,17 @@
 //! Property-based equivalence tests for the Cypher-style matcher on
 //! arbitrary property graphs.
 
-use kgq_cypher::{execute, parse_query};
+use kgq_core::{Governor, QueryCache};
+use kgq_cypher::{execute_governed, parse_query, Query, Row};
 use kgq_graph::{NodeId, PropertyGraph};
 use proptest::prelude::*;
+
+/// `execute_governed` with a fresh cache and no budget.
+fn execute(g: &PropertyGraph, q: &Query) -> Vec<Row> {
+    let res = execute_governed(g, q, &QueryCache::new(), &Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value
+}
 
 const LABELS: [&str; 2] = ["person", "bus"];
 const EDGE_LABELS: [&str; 2] = ["rides", "contact"];

@@ -88,12 +88,20 @@ pub fn psi_network() -> AcGnn {
 mod tests {
     use super::*;
     use crate::model::AcGnn;
-    use kgq_core::eval::matching_starts;
+    use kgq_core::eval::Evaluator;
+    use kgq_core::govern::Governor;
     use kgq_core::model::LabeledView;
     use kgq_core::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
     use kgq_graph::generate::{contact_network, ContactParams};
     use kgq_graph::LabeledGraph;
+
+    /// Nodes starting a path matching `e`, under an unlimited governor.
+    fn starts_of<G: kgq_core::PathGraph>(g: &G, e: &kgq_core::PathExpr) -> Vec<kgq_graph::NodeId> {
+        let gov = Governor::unlimited();
+        let ev = Evaluator::new_governed(g, e, &gov).unwrap();
+        ev.matching_starts_governed(&gov).unwrap().value
+    }
 
     fn run_psi(g: &LabeledGraph) -> Vec<bool> {
         let gnn = psi_network();
@@ -107,7 +115,7 @@ mod tests {
         let cls = run_psi(&g);
         let e = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let expected = matching_starts(&view, &e);
+        let expected = starts_of(&view, &e);
         let got: Vec<_> = (0..g.node_count())
             .filter(|&i| cls[i])
             .map(|i| kgq_graph::NodeId(i as u32))
@@ -129,7 +137,7 @@ mod tests {
             let cls = run_psi(&g);
             let e = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
             let view = LabeledView::new(&g);
-            let expected: std::collections::HashSet<usize> = matching_starts(&view, &e)
+            let expected: std::collections::HashSet<usize> = starts_of(&view, &e)
                 .into_iter()
                 .map(|n| n.index())
                 .collect();

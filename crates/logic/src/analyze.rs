@@ -181,9 +181,9 @@ fn subsumes(a: &Rule, b: &Rule) -> bool {
 }
 
 /// Analyzes a rule program against a store: safety, dead rules,
-/// recursion/strata, redundancy, and the termination bound. Both
-/// [`crate::rules::fixpoint`] and [`crate::rules::fixpoint_governed`]
-/// consult the result before executing.
+/// recursion/strata, redundancy, and the termination bound.
+/// [`crate::rules::fixpoint_governed`] consults the result before
+/// executing.
 pub fn analyze_program(st: &TripleStore, rules: &[Rule]) -> ProgramReport {
     let mut report = ProgramReport::default();
 
@@ -568,7 +568,10 @@ mod tests {
         let mut st = chain_store(4);
         let rules = closure_rules(&mut st);
         let rep = analyze_program(&st, &rules);
-        let stats = crate::rules::fixpoint(&mut st, &rules);
+        let gov = kgq_core::Governor::unlimited();
+        let res = crate::rules::fixpoint_governed(&mut st, &rules, &gov).unwrap();
+        assert!(!res.is_partial());
+        let stats = res.value;
         assert!(rep.derivation_bound >= stats.derived as u64);
         assert!(rep.round_bound >= stats.rounds as u64);
     }

@@ -191,11 +191,19 @@ pub fn compile_wide(expr: &PathExpr) -> Result<Formula, CompileError> {
 mod tests {
     use super::*;
     use crate::eval::{eval_bounded, eval_bounded_stats, eval_naive};
-    use kgq_core::eval::matching_starts;
+    use kgq_core::eval::Evaluator;
+    use kgq_core::govern::Governor;
     use kgq_core::model::LabeledView;
     use kgq_core::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
     use kgq_graph::generate::gnm_labeled;
+
+    /// Nodes starting a path matching `e`, under an unlimited governor.
+    fn starts_of<G: kgq_core::PathGraph>(g: &G, e: &kgq_core::PathExpr) -> Vec<kgq_graph::NodeId> {
+        let gov = Governor::unlimited();
+        let ev = Evaluator::new_governed(g, e, &gov).unwrap();
+        ev.matching_starts_governed(&gov).unwrap().value
+    }
 
     #[test]
     fn paper_expression_compiles_to_width_two() {
@@ -214,7 +222,7 @@ mod tests {
         let psi = compile_fo2(&e).unwrap();
         let from_logic = eval_bounded(&g, &psi, Var(0));
         let view = LabeledView::new(&g);
-        let from_rpq = matching_starts(&view, &e);
+        let from_rpq = starts_of(&view, &e);
         assert_eq!(from_logic, from_rpq);
         let phi = compile_wide(&e).unwrap();
         assert_eq!(eval_naive(&g, &phi, Var(0)), from_rpq);
@@ -250,7 +258,7 @@ mod tests {
                 let psi = compile_fo2(&e).unwrap();
                 let from_logic = eval_bounded(&g, &psi, Var(0));
                 let view = LabeledView::new(&g);
-                let from_rpq = matching_starts(&view, &e);
+                let from_rpq = starts_of(&view, &e);
                 assert_eq!(from_logic, from_rpq, "seed={seed} expr={text}");
             }
         }

@@ -29,10 +29,10 @@
 //!   extraction, producing exactly ψ-style reuse of two variables;
 //! * [`rules`] — Horn rules over triple stores whose bodies are matched
 //!   by `kgq-rdf`'s worst-case optimal leapfrog triejoin, run to a
-//!   governed or ungoverned fixpoint;
+//!   governed fixpoint;
 //! * [`analyze`] — static analysis of rule programs (safety, dead
 //!   rules, recursion/strata, θ-subsumption, termination bounds) that
-//!   both fixpoints consult before executing.
+//!   the fixpoint consults before executing.
 
 // Several hot loops index multiple parallel arrays at once; the
 // iterator rewrites clippy suggests obscure them.
@@ -47,6 +47,4 @@ pub use analyze::{analyze_program, ProgramReport};
 pub use compile::{compile_fo2, compile_wide, CompileError};
 pub use eval::{eval_bounded, eval_naive, GraphStructure};
 pub use formula::{Formula, Var};
-pub use rules::{
-    fixpoint, fixpoint_governed, parse_program, FixpointStats, Rule, RuleError, RuleParseError,
-};
+pub use rules::{fixpoint_governed, parse_program, FixpointStats, Rule, RuleError, RuleParseError};

@@ -15,6 +15,7 @@
 //! ground.
 
 use kgq_core::govern::{Completion, EvalError, Governed, Governor, Interrupt};
+use kgq_core::parallel::effective_threads;
 use kgq_rdf::bgp::{Bgp, TermPattern, TriplePattern};
 use kgq_rdf::store::{Triple, TripleStore};
 use kgq_rdf::{lftj, Binding};
@@ -119,57 +120,21 @@ pub struct FixpointStats {
 }
 
 /// Applies `rules` to a fixpoint, materializing derived triples into
-/// `st`. Every body is matched by the leapfrog triejoin; each round's
-/// derivations are bulk-inserted ([`TripleStore::extend`]).
+/// `st`, under a governor (pass [`Governor::unlimited`] for no budget).
+/// Every body is matched by the leapfrog triejoin, which charges the
+/// governor through every trie seek; each round's derivations are
+/// bulk-inserted ([`TripleStore::extend`]). When a round's matching is
+/// interrupted, the triples derived so far are still sound (rule
+/// application is monotone), so they stay materialized and the result
+/// reports `Partial` with the interrupt reason.
 ///
 /// The program is statically analyzed first
-/// ([`crate::analyze::analyze_program`]): rules the analyzer proves dead
-/// are skipped (they can never fire, so skipping is sound), and the
-/// iteration is capped at the analyzer's round bound — a defensive
-/// backstop that turns a bound-analysis bug into early termination of a
-/// monotone (hence still sound, merely incomplete) materialization
-/// rather than an infinite loop.
-pub fn fixpoint(st: &mut TripleStore, rules: &[Rule]) -> FixpointStats {
-    let analysis = crate::analyze::analyze_program(st, rules);
-    let live: Vec<&Rule> = rules
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !analysis.dead_rules.contains(i))
-        .map(|(_, r)| r)
-        .collect();
-    let mut derived = 0usize;
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let mut fresh: Vec<Triple> = Vec::new();
-        for rule in &live {
-            let sol = lftj::solve(st, &rule.body);
-            for binding in sol.bindings() {
-                if let Some(t) = rule.instantiate(&binding) {
-                    fresh.push(t);
-                }
-            }
-        }
-        let added = st.extend(fresh);
-        derived += added;
-        if added == 0 || rounds as u64 >= analysis.round_bound {
-            break;
-        }
-    }
-    FixpointStats { derived, rounds }
-}
-
-/// [`fixpoint`] under a governor. Body matching charges the governor
-/// through every trie seek; when a round's matching is interrupted, the
-/// triples derived so far are still sound (rule application is
-/// monotone), so they stay materialized and the result reports
-/// `Partial` with the interrupt reason.
-///
-/// Like [`fixpoint`], consults the static program analysis first: a
+/// ([`crate::analyze::analyze_program`]): a
 /// [`kgq_core::analyze::Severity::Deny`] verdict (an unsafe rule built
 /// by hand around [`Rule::new`]) is refused up front as
-/// [`EvalError::InvalidInput`], dead rules are skipped, and the round
-/// bound pre-sizes the iteration budget.
+/// [`EvalError::InvalidInput`], rules the analyzer proves dead are
+/// skipped (they can never fire, so skipping is sound), and the
+/// analyzer's round bound caps the iteration.
 pub fn fixpoint_governed(
     st: &mut TripleStore,
     rules: &[Rule],
@@ -196,7 +161,9 @@ pub fn fixpoint_governed(
         let mut fresh: Vec<Triple> = Vec::new();
         let mut interrupted = None;
         for rule in &live {
-            let governed = lftj::solve_governed(st, &rule.body, gov)?;
+            let plan = lftj::plan(st, &rule.body);
+            let governed =
+                lftj::solve_planned_governed(st, &rule.body, &plan, effective_threads(), gov)?;
             for binding in governed.value.bindings() {
                 if let Some(t) = rule.instantiate(&binding) {
                     fresh.push(t);
@@ -333,6 +300,34 @@ mod tests {
     use super::*;
     use kgq_core::govern::{Budget, Interrupt};
 
+    /// [`fixpoint_governed`] with no budget; always complete.
+    fn saturate(st: &mut TripleStore, rules: &[Rule]) -> FixpointStats {
+        let res = fixpoint_governed(st, rules, &Governor::unlimited()).unwrap();
+        assert!(res.completion.is_complete());
+        res.value
+    }
+
+    /// Reference fixpoint: naive rounds over the backtracking matcher
+    /// (`Bgp::solve_baseline`), with no analysis and no governor.
+    /// Returns the number of derived triples.
+    fn naive_fixpoint(st: &mut TripleStore, rules: &[Rule]) -> usize {
+        let mut derived = 0;
+        loop {
+            let fresh: Vec<Triple> = rules
+                .iter()
+                .flat_map(|r| {
+                    let bindings = r.body.solve_baseline(st);
+                    bindings.into_iter().filter_map(|b| r.instantiate(&b))
+                })
+                .collect();
+            let added = st.extend(fresh);
+            derived += added;
+            if added == 0 {
+                return derived;
+            }
+        }
+    }
+
     fn chain_store(n: usize) -> TripleStore {
         let mut st = TripleStore::new();
         for i in 0..n {
@@ -353,7 +348,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let stats = fixpoint(&mut st, &rules);
+        let stats = saturate(&mut st, &rules);
         // Chain n0→…→n4: 4+3+2+1 = 10 path triples.
         assert_eq!(stats.derived, 10);
         assert!(stats.rounds >= 3, "closure needs chaining, got {stats:?}");
@@ -374,7 +369,7 @@ mod tests {
             &[("?x", "knows", "?y"), ("?y", "knows", "?x")],
         )
         .unwrap();
-        let stats = fixpoint(&mut st, &[rule]);
+        let stats = saturate(&mut st, &[rule]);
         assert_eq!(stats.derived, 2); // (a,b) and (b,a)
         let friend = st.get_term("friend").unwrap();
         assert_eq!(st.count(None, Some(friend), None), 2);
@@ -390,7 +385,7 @@ mod tests {
             &[("?x", "advises", "?y")],
         )
         .unwrap();
-        fixpoint(&mut st, &[rule]);
+        saturate(&mut st, &[rule]);
         let t = Triple {
             s: st.get_term("ana").unwrap(),
             p: st.get_term("type").unwrap(),
@@ -418,15 +413,15 @@ mod tests {
             )
             .unwrap(),
         ];
-        fixpoint(&mut st, &rules);
+        saturate(&mut st, &rules);
         let size = st.len();
-        let again = fixpoint(&mut st, &rules);
+        let again = saturate(&mut st, &rules);
         assert_eq!(again.derived, 0);
         assert_eq!(st.len(), size);
     }
 
     #[test]
-    fn governed_fixpoint_unlimited_matches_plain() {
+    fn governed_fixpoint_unlimited_matches_naive_iteration() {
         let mut a = chain_store(4);
         let mut b = chain_store(4);
         let mk = |st: &mut TripleStore| {
@@ -442,11 +437,11 @@ mod tests {
         };
         let ra = mk(&mut a);
         let rb = mk(&mut b);
-        let plain = fixpoint(&mut a, &ra);
+        let naive = naive_fixpoint(&mut a, &ra);
         let gov = Governor::unlimited();
         let governed = fixpoint_governed(&mut b, &rb, &gov).unwrap();
         assert!(governed.completion.is_complete());
-        assert_eq!(governed.value, plain);
+        assert_eq!(governed.value.derived, naive);
         assert_eq!(a.len(), b.len());
     }
 
@@ -459,7 +454,7 @@ mod tests {
                     ?x path ?z :- ?x path ?y, ?y edge ?z .\n";
         let rules = parse_program(&mut st, text).unwrap();
         assert_eq!(rules.len(), 2);
-        let stats = fixpoint(&mut st, &rules);
+        let stats = saturate(&mut st, &rules);
         assert_eq!(stats.derived, 10);
     }
 
@@ -472,7 +467,7 @@ mod tests {
             "?s <http://x.test/q> ?o :- ?s <http://x.test/p> ?o",
         )
         .unwrap();
-        let stats = fixpoint(&mut st, &rules);
+        let stats = saturate(&mut st, &rules);
         assert_eq!(stats.derived, 1);
         let q = st.get_term("http://x.test/q").unwrap();
         assert_eq!(st.count(None, Some(q), None), 1);
@@ -500,7 +495,7 @@ mod tests {
             // Dead: `ghost` never appears and nothing derives it.
             Rule::parse(&mut st, ("?x", "haunt", "?y"), &[("?x", "ghost", "?y")]).unwrap(),
         ];
-        let stats = fixpoint(&mut st, &rules);
+        let stats = saturate(&mut st, &rules);
         assert_eq!(stats.derived, 3);
         assert!(
             st.get_term("haunt").is_none() || {

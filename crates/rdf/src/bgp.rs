@@ -112,18 +112,10 @@ impl Bgp {
         self
     }
 
-    /// All bindings under which every pattern matches, evaluated by the
-    /// worst-case optimal leapfrog triejoin ([`crate::lftj`]).
-    /// Deterministic order: lexicographic in the planner's variable
-    /// elimination order, identical at any thread count.
-    pub fn solve(&self, st: &TripleStore) -> Vec<Binding> {
-        crate::lftj::solve(st, self).bindings()
-    }
-
     /// The original backtracking matcher (greedy most-bound-first pattern
     /// order). Kept as the oracle baseline: the proptests assert it
-    /// agrees with [`Bgp::solve`] as a multiset, and `exp_bgp` measures
-    /// the speedup against it.
+    /// agrees with [`crate::lftj::solve_planned_governed`] as a multiset,
+    /// and `exp_bgp` measures the speedup against it.
     pub fn solve_baseline(&self, st: &TripleStore) -> Vec<Binding> {
         let mut results = Vec::new();
         let mut remaining: Vec<&TriplePattern> = self.patterns.iter().collect();
@@ -169,6 +161,14 @@ fn backtrack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgq_core::govern::Governor;
+
+    /// Solves `q` with the leapfrog triejoin under an unlimited governor.
+    fn solve_all(q: &Bgp, st: &TripleStore) -> Vec<Binding> {
+        let plan = crate::lftj::plan(st, q);
+        let res = crate::lftj::solve_planned_governed(st, q, &plan, 1, &Governor::unlimited());
+        res.unwrap().value.bindings()
+    }
 
     fn sample() -> TripleStore {
         let mut st = TripleStore::new();
@@ -186,7 +186,7 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?y");
-        let res = q.solve(&st);
+        let res = solve_all(&q, &st);
         assert_eq!(res.len(), 3);
         for b in &res {
             assert!(b.contains_key("x") && b.contains_key("y"));
@@ -200,7 +200,7 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?y");
         q.add(&mut st, "?y", "type", "Person");
-        let res = q.solve(&st);
+        let res = solve_all(&q, &st);
         let mut xs: Vec<&str> = res.iter().map(|b| st.term_str(b["x"])).collect();
         xs.sort_unstable();
         assert_eq!(xs, vec!["alice", "carol"]);
@@ -212,7 +212,7 @@ mod tests {
         st.insert_strs("n", "knows", "n"); // self-knower
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?x");
-        let res = q.solve(&st);
+        let res = solve_all(&q, &st);
         assert_eq!(res.len(), 1);
         assert_eq!(st.term_str(res[0]["x"]), "n");
     }
@@ -224,7 +224,7 @@ mod tests {
         q.add(&mut st, "?a", "knows", "?b");
         q.add(&mut st, "?b", "knows", "?c");
         q.add(&mut st, "?c", "knows", "?a");
-        let res = q.solve(&st);
+        let res = solve_all(&q, &st);
         // The 3-cycle matches in 3 rotations.
         assert_eq!(res.len(), 3);
     }
@@ -234,7 +234,7 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "likes", "?y");
-        assert!(q.solve(&st).is_empty());
+        assert!(solve_all(&q, &st).is_empty());
     }
 
     #[test]
@@ -242,10 +242,10 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "alice", "knows", "bob");
-        assert_eq!(q.solve(&st).len(), 1);
+        assert_eq!(solve_all(&q, &st).len(), 1);
         let mut q2 = Bgp::new();
         q2.add(&mut st, "alice", "knows", "carol");
-        assert!(q2.solve(&st).is_empty());
+        assert!(solve_all(&q2, &st).is_empty());
     }
 
     #[test]
@@ -253,7 +253,7 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "alice", "?p", "?o");
-        let res = q.solve(&st);
+        let res = solve_all(&q, &st);
         assert_eq!(res.len(), 2); // knows bob, type Person
     }
 }

@@ -116,10 +116,18 @@ pub fn labeled_to_rdf(g: &LabeledGraph) -> TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgq_core::eval::matching_starts;
+    use kgq_core::eval::Evaluator;
+    use kgq_core::govern::Governor;
     use kgq_core::model::LabeledView;
     use kgq_core::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
+
+    /// Nodes starting a path matching `e`, under an unlimited governor.
+    fn starts_of(view: &LabeledView, e: &kgq_core::PathExpr) -> Vec<kgq_graph::NodeId> {
+        let gov = Governor::unlimited();
+        let ev = Evaluator::new_governed(view, e, &gov).unwrap();
+        ev.matching_starts_governed(&gov).unwrap().value
+    }
 
     fn sample_store() -> TripleStore {
         let mut st = TripleStore::new();
@@ -147,7 +155,7 @@ mod tests {
         let mut g = rdf_to_labeled(&st).unwrap();
         let e = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
         let view = LabeledView::new(&g);
-        let starts = matching_starts(&view, &e);
+        let starts = starts_of(&view, &e);
         assert_eq!(starts.len(), 1);
         assert_eq!(g.node_name(starts[0]), "alice");
     }
@@ -162,7 +170,7 @@ mod tests {
         assert_eq!(g1.edge_count(), g0.edge_count());
         let e = parse_expr("?person/rides/?bus/rides^-/?infected", g1.consts_mut()).unwrap();
         let view = LabeledView::new(&g1);
-        let names: Vec<&str> = matching_starts(&view, &e)
+        let names: Vec<&str> = starts_of(&view, &e)
             .into_iter()
             .map(|n| g1.node_name(n))
             .collect();

@@ -19,21 +19,23 @@
 //!   cardinalities (two `partition_point`s per estimate) and detects
 //!   provably-empty queries before execution; [`Plan::render`] is the
 //!   `--explain` surface.
-//! * [`solve`] / [`solve_partitioned`] parallelize by splitting the first
-//!   join variable's matched domain into contiguous chunks, one worker
-//!   per chunk. Workers own private cursors, chunks are concatenated in
-//!   domain order, so the output is byte-identical for any thread count.
-//! * [`solve_governed`] threads the PR-2 governance contract through
-//!   every seek: batched [`Ticker`] step charges, [`MemMeter`] row
-//!   charges, panic isolation per worker, and an exact-prefix
-//!   [`Governed`] `Partial` on exhaustion — the cut happens at the first
-//!   interrupted chunk, exactly like the kernel scans in `kgq-core`.
+//! * [`solve_planned_governed`] — the one BGP evaluation entry point —
+//!   parallelizes by splitting the first join variable's matched domain
+//!   into contiguous chunks, one worker per chunk. Workers own private
+//!   cursors, chunks are concatenated in domain order, so the output is
+//!   byte-identical for any partition count. Every run is governed:
+//!   batched [`Ticker`] step charges, [`MemMeter`] row charges, panic
+//!   isolation per worker, one result charge per chunk, and an
+//!   exact-prefix [`Governed`] `Partial` on exhaustion — the cut happens
+//!   at the first interrupted chunk, exactly like the kernel scans in
+//!   `kgq-core`. With no budget, pass [`Governor::unlimited`].
+//! * [`count_planned_governed`] counts answers without materializing
+//!   them, under the same verification gate.
 
 use crate::bgp::{Bgp, Binding, TermPattern, TriplePattern, VarName};
 use crate::sketch::{chain_hash, StoreSketch, XorConstraint, ROOT_HASH};
 use crate::store::{IndexOrder, TripleStore};
 use kgq_core::govern::{isolate, EvalError, Governed, Governor, Interrupt, MemMeter, Ticker};
-use kgq_core::parallel::effective_threads;
 use kgq_graph::Sym;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -567,8 +569,8 @@ pub fn plan_best(
 /// first and its variables in ascending elimination order (the legal
 /// prefix condition leapfrogging relies on), filtered flags must match
 /// repeated-variable shapes, and recorded cardinalities must equal the
-/// store's exact counts. [`solve_planned`] and every governed run call
-/// this before joining, so a planner bug surfaces as a structured
+/// store's exact counts. Every solve and count calls this before
+/// joining, so a planner bug surfaces as a structured
 /// [`EvalError::PlanUnsound`] instead of wrong answers.
 pub fn verify_plan(st: &TripleStore, bgp: &Bgp, plan: &Plan) -> Result<(), String> {
     if plan.patterns.len() != bgp.patterns.len() {
@@ -1048,7 +1050,7 @@ fn join_level(
 fn run_chunk(
     engine: &Engine,
     candidates: &[Sym],
-    gov: Option<&Governor>,
+    gov: &Governor,
 ) -> (Vec<Vec<Sym>>, Option<Interrupt>) {
     let mut out = Vec::new();
     let err = run_chunk_inner(engine, candidates, gov, &mut out).err();
@@ -1058,12 +1060,12 @@ fn run_chunk(
 fn run_chunk_inner(
     engine: &Engine,
     candidates: &[Sym],
-    gov: Option<&Governor>,
+    gov: &Governor,
     out: &mut Vec<Vec<Sym>>,
 ) -> Result<(), Interrupt> {
     let mut cursors: Vec<Cursor> = engine.specs.iter().map(Cursor::new).collect();
-    let mut ticker = Ticker::maybe(gov);
-    let mut meter = MemMeter::maybe(gov);
+    let mut ticker = Ticker::new(gov);
+    let mut meter = MemMeter::maybe(Some(gov));
     let mut binding = vec![Sym(0); engine.nvars];
     let parts = engine.level_parts[0].clone();
     for &v in candidates {
@@ -1127,14 +1129,22 @@ fn chunk_bounds(len: usize, chunks: usize, i: usize) -> Range<usize> {
 /// short, if any. A panic inside an isolated worker becomes the `Err`.
 type ChunkResult = Result<(Vec<Vec<Sym>>, Option<Interrupt>), EvalError>;
 
-/// Shared implementation: plan-driven execution over `chunks` contiguous
-/// partitions of the first variable's domain, optionally governed.
-fn run(
+/// Evaluates a BGP under a previously computed [`Plan`] (greedy
+/// [`plan`], sketch-driven [`plan_sketched`] or [`plan_best`]) with the
+/// leapfrog triejoin, over `chunks` contiguous partitions of the first
+/// variable's domain (`chunks` = `kgq_core::parallel::effective_threads()`
+/// for the configured pool; the answer is byte-identical at any count).
+///
+/// Every seek/next ticks `gov` at batch granularity, workers are
+/// panic-isolated, and exhaustion returns an exact-prefix [`Governed`]
+/// `Partial` with the typed interrupt reason. A plan that fails
+/// [`verify_plan`] is refused as [`EvalError::PlanUnsound`].
+pub fn solve_planned_governed(
     st: &TripleStore,
     bgp: &Bgp,
     plan: &Plan,
     chunks: usize,
-    gov: Option<&Governor>,
+    gov: &Governor,
 ) -> Result<Governed<Solution>, EvalError> {
     // Soundness gate: every execution re-derives the plan's validity
     // independently of the planner. O(patterns × vars), negligible next
@@ -1154,10 +1164,8 @@ fn run(
             vars: Vec::new(),
             rows: vec![Vec::new()],
         };
-        if let Some(gov) = gov {
-            if let Err(why) = gov.charge_results(1) {
-                return Ok(Governed::partial(empty_solution(), why));
-            }
+        if let Err(why) = gov.charge_results(1) {
+            return Ok(Governed::partial(empty_solution(), why));
         }
         return Ok(Governed::complete(sol));
     }
@@ -1169,10 +1177,8 @@ fn run(
     for (pp, pat) in plan.patterns.iter().zip(&bgp.patterns) {
         if pp.filtered {
             let rows = materialize_filtered(st, pat, &pp.levels, var_level);
-            if let Some(gov) = gov {
-                if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
-                    return Ok(Governed::partial(empty_solution(), why));
-                }
+            if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
+                return Ok(Governed::partial(empty_solution(), why));
             }
             tables.push(rows);
         }
@@ -1180,7 +1186,7 @@ fn run(
     let engine = Engine::build(st, plan, &tables);
 
     // The first join variable's matched domain, then contiguous chunks.
-    let mut ticker = Ticker::maybe(gov);
+    let mut ticker = Ticker::new(gov);
     let candidates = match level0_candidates(&engine, &mut ticker) {
         Ok(c) => c,
         Err(why) => return Ok(Governed::partial(empty_solution(), why)),
@@ -1192,17 +1198,14 @@ fn run(
 
     let worker = |i: usize| -> ChunkResult {
         let slice = &candidates[chunk_bounds(candidates.len(), chunks, i)];
-        match gov {
-            Some(gov) => isolate(|| {
-                #[cfg(feature = "fault-injection")]
-                kgq_core::govern::fault::hit("lftj::join");
-                if let Some(t) = gov.trip_state() {
-                    return Err(t);
-                }
-                Ok(run_chunk(&engine, slice, Some(gov)))
-            }),
-            None => Ok(run_chunk(&engine, slice, None)),
-        }
+        isolate(|| {
+            #[cfg(feature = "fault-injection")]
+            kgq_core::govern::fault::hit("lftj::join");
+            if let Some(t) = gov.trip_state() {
+                return Err(t);
+            }
+            Ok(run_chunk(&engine, slice, gov))
+        })
     };
     let per_chunk: Vec<ChunkResult> = if chunks == 1 {
         vec![worker(0)]
@@ -1212,29 +1215,31 @@ fn run(
 
     // Deterministic merge: concatenate chunks in domain order, cutting at
     // the first interrupted chunk so the result is an exact prefix of the
-    // ungoverned answer.
+    // full answer. One result charge per chunk, with the per-row cut
+    // point.
     let mut rows = Vec::new();
     let mut why: Option<Interrupt> = None;
-    'merge: for res in per_chunk {
+    for res in per_chunk {
         match res {
             Err(EvalError::Interrupted(i)) => {
                 why = Some(i);
-                break 'merge;
+                break;
             }
             Err(e) => return Err(e),
-            Ok((chunk_rows, interrupted)) => {
-                for row in chunk_rows {
-                    if let Some(gov) = gov {
-                        if let Err(i) = gov.charge_results(1) {
-                            why = Some(i);
-                            break 'merge;
-                        }
-                    }
-                    rows.push(row);
+            Ok((mut chunk_rows, interrupted)) => {
+                let over_budget = gov.charge_results_upto(chunk_rows.len() as u64).err();
+                if let Some((fit, _)) = over_budget {
+                    chunk_rows.truncate(fit as usize);
                 }
-                if let Some(i) = interrupted {
-                    why = Some(i);
-                    break 'merge;
+                // The first chunk's rows are moved, not copied.
+                if rows.is_empty() {
+                    rows = chunk_rows;
+                } else {
+                    rows.append(&mut chunk_rows);
+                }
+                why = over_budget.map(|(_, i)| i).or(interrupted);
+                if why.is_some() {
+                    break;
                 }
             }
         }
@@ -1247,56 +1252,6 @@ fn run(
         None => Governed::complete(sol),
         Some(i) => Governed::partial(sol, i),
     })
-}
-
-/// Evaluates a BGP with the leapfrog triejoin, parallelized over
-/// `KGQ_THREADS` workers (byte-identical output at any thread count).
-pub fn solve(st: &TripleStore, bgp: &Bgp) -> Solution {
-    solve_partitioned(st, bgp, effective_threads())
-}
-
-/// [`solve`] with an explicit partition count — the determinism tests
-/// compare 1/2/4 directly without touching the global thread pool.
-pub fn solve_partitioned(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
-    let plan = plan(st, bgp);
-    solve_planned(st, bgp, &plan, chunks)
-}
-
-/// Executes a previously computed [`Plan`] (e.g. after rendering it for
-/// `--explain`) over `chunks` partitions.
-pub fn solve_planned(st: &TripleStore, bgp: &Bgp, plan: &Plan, chunks: usize) -> Solution {
-    match run(st, bgp, plan, chunks.max(1), None) {
-        Ok(g) => g.value,
-        // Ungoverned runs cannot be interrupted or panic, so the only
-        // reachable error is a plan that failed soundness verification —
-        // and executing it anyway would mean wrong answers.
-        Err(e) => panic!("refusing to execute an unsound plan: {e}"),
-    }
-}
-
-/// Governed evaluation: every seek/next ticks the governor at batch
-/// granularity, workers are panic-isolated, and exhaustion returns an
-/// exact-prefix [`Governed`] `Partial` with the typed interrupt reason.
-/// An unlimited governor is byte-identical to [`solve`].
-pub fn solve_governed(
-    st: &TripleStore,
-    bgp: &Bgp,
-    gov: &Governor,
-) -> Result<Governed<Solution>, EvalError> {
-    let plan = plan(st, bgp);
-    run(st, bgp, &plan, effective_threads(), Some(gov))
-}
-
-/// Governed execution of a caller-supplied plan (e.g. a sketch-driven
-/// one) — same verification gate, partitioning and partial semantics as
-/// [`solve_governed`].
-pub fn solve_planned_governed(
-    st: &TripleStore,
-    bgp: &Bgp,
-    plan: &Plan,
-    gov: &Governor,
-) -> Result<Governed<Solution>, EvalError> {
-    run(st, bgp, plan, effective_threads(), Some(gov))
 }
 
 /// Per-elimination-level XOR constraints for the counting recursion; an
@@ -1440,7 +1395,7 @@ pub(crate) fn count_planned_capped(
     plan: &Plan,
     cons: &LevelConstraints,
     cap: u64,
-    gov: Option<&Governor>,
+    gov: &Governor,
 ) -> Result<(u64, Option<Interrupt>), EvalError> {
     verify_plan(st, bgp, plan).map_err(EvalError::PlanUnsound)?;
     if plan.empty.is_some() || cap == 0 {
@@ -1456,17 +1411,15 @@ pub(crate) fn count_planned_capped(
     for (pp, pat) in plan.patterns.iter().zip(&bgp.patterns) {
         if pp.filtered {
             let rows = materialize_filtered(st, pat, &pp.levels, var_level);
-            if let Some(gov) = gov {
-                if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
-                    return Ok((0, Some(why)));
-                }
+            if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
+                return Ok((0, Some(why)));
             }
             tables.push(rows);
         }
     }
     let engine = Engine::build(st, plan, &tables);
 
-    let mut ticker = Ticker::maybe(gov);
+    let mut ticker = Ticker::new(gov);
     let candidates = match level0_candidates(&engine, &mut ticker) {
         Ok(c) => c,
         Err(why) => return Ok((0, Some(why))),
@@ -1526,27 +1479,10 @@ pub(crate) fn count_planned_capped(
     Ok((count.min(cap), tripped))
 }
 
-/// Exact number of answers of a BGP, without materializing them.
-pub fn count(st: &TripleStore, bgp: &Bgp) -> u64 {
-    let plan = plan(st, bgp);
-    count_planned(st, bgp, &plan)
-}
-
-/// Exact answer count over a caller-supplied plan (e.g. a sketch-driven
-/// one): same verification gate as [`solve_planned`].
-pub fn count_planned(st: &TripleStore, bgp: &Bgp, plan: &Plan) -> u64 {
-    let none = LevelConstraints::none(plan.vars.len());
-    match count_planned_capped(st, bgp, plan, &none, u64::MAX, None) {
-        Ok((n, _)) => n,
-        // Mirrors `solve_planned`: the only ungoverned failure is an
-        // unsound plan, and counting with one would be a wrong answer.
-        Err(e) => panic!("refusing to execute an unsound plan: {e}"),
-    }
-}
-
-/// Governed exact count over a caller-supplied plan: `Complete` with the
-/// exact count, or `Partial` with the lower bound reached when the
-/// budget tripped.
+/// Exact number of answers of a BGP under a caller-supplied plan,
+/// without materializing them: `Complete` with the exact count, or
+/// `Partial` with the lower bound reached when the budget tripped. A plan
+/// that fails [`verify_plan`] is refused as [`EvalError::PlanUnsound`].
 pub fn count_planned_governed(
     st: &TripleStore,
     bgp: &Bgp,
@@ -1554,7 +1490,7 @@ pub fn count_planned_governed(
     gov: &Governor,
 ) -> Result<Governed<u64>, EvalError> {
     let none = LevelConstraints::none(plan.vars.len());
-    let (n, tripped) = count_planned_capped(st, bgp, plan, &none, u64::MAX, Some(gov))?;
+    let (n, tripped) = count_planned_capped(st, bgp, plan, &none, u64::MAX, gov)?;
     Ok(match tripped {
         None => Governed::complete(n),
         Some(why) => Governed::partial(n, why),
@@ -1565,6 +1501,24 @@ pub fn count_planned_governed(
 mod tests {
     use super::*;
     use kgq_core::govern::Budget;
+
+    /// [`solve_planned_governed`] over the greedy plan with `chunks`
+    /// partitions, under `gov`.
+    fn solve_under(
+        st: &TripleStore,
+        bgp: &Bgp,
+        chunks: usize,
+        gov: &Governor,
+    ) -> Result<Governed<Solution>, EvalError> {
+        solve_planned_governed(st, bgp, &plan(st, bgp), chunks, gov)
+    }
+
+    /// [`solve_under`] with an unlimited governor, which always completes.
+    fn solve_all(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
+        let res = solve_under(st, bgp, chunks, &Governor::unlimited()).unwrap();
+        assert!(res.completion.is_complete());
+        res.value
+    }
 
     fn sample() -> TripleStore {
         let mut st = TripleStore::new();
@@ -1640,7 +1594,7 @@ mod tests {
         q.add(&mut st, "?a", "knows", "?b");
         q.add(&mut st, "?b", "knows", "?c");
         q.add(&mut st, "?c", "knows", "?a");
-        let fast = solve(&st, &q);
+        let fast = solve_all(&st, &q, 1);
         assert_eq!(fast.rows.len(), 3);
         assert_eq!(canon(fast.bindings()), canon(q.solve_baseline(&st)));
     }
@@ -1651,7 +1605,7 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?y");
         q.add(&mut st, "?y", "type", "Person");
-        let fast = solve(&st, &q);
+        let fast = solve_all(&st, &q, 1);
         assert_eq!(canon(fast.bindings()), canon(q.solve_baseline(&st)));
     }
 
@@ -1661,7 +1615,7 @@ mod tests {
         st.insert_strs("n", "knows", "n");
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?x");
-        let fast = solve(&st, &q);
+        let fast = solve_all(&st, &q, 1);
         assert_eq!(fast.rows.len(), 1);
         assert_eq!(st.term_str(fast.rows[0][0]), "n");
     }
@@ -1670,7 +1624,7 @@ mod tests {
     fn empty_bgp_yields_one_empty_binding() {
         let st = sample();
         let q = Bgp::new();
-        let sol = solve(&st, &q);
+        let sol = solve_all(&st, &q, 1);
         assert_eq!(sol.rows, vec![Vec::new()]);
     }
 
@@ -1679,12 +1633,12 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "alice", "knows", "bob");
-        assert_eq!(solve(&st, &q).rows.len(), 1);
+        assert_eq!(solve_all(&st, &q, 1).rows.len(), 1);
         let mut q2 = Bgp::new();
         q2.add(&mut st, "alice", "knows", "carol");
         let plan2 = plan(&st, &q2);
         assert!(plan2.empty.is_some());
-        assert!(solve(&st, &q2).rows.is_empty());
+        assert!(solve_all(&st, &q2, 1).rows.is_empty());
     }
 
     #[test]
@@ -1693,9 +1647,9 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?a", "knows", "?b");
         q.add(&mut st, "?b", "type", "?t");
-        let one = solve_partitioned(&st, &q, 1);
+        let one = solve_all(&st, &q, 1);
         for chunks in [2, 3, 4, 16] {
-            assert_eq!(one, solve_partitioned(&st, &q, chunks));
+            assert_eq!(one, solve_all(&st, &q, chunks));
         }
     }
 
@@ -1705,9 +1659,10 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?a", "knows", "?b");
         q.add(&mut st, "?b", "knows", "?c");
-        let plain = solve(&st, &q);
+        let plain = solve_all(&st, &q, 1);
+        assert_eq!(canon(plain.bindings()), canon(q.solve_baseline(&st)));
         let gov = Governor::unlimited();
-        let governed = solve_governed(&st, &q, &gov).expect("governed eval");
+        let governed = solve_under(&st, &q, 4, &gov).expect("governed eval");
         assert!(governed.completion.is_complete());
         assert_eq!(governed.value, plain);
     }
@@ -1717,9 +1672,9 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "?a", "knows", "?b");
-        let full = solve(&st, &q);
+        let full = solve_all(&st, &q, 1);
         let gov = Governor::new(&Budget::unlimited().with_max_results(2));
-        let partial = solve_governed(&st, &q, &gov).expect("governed eval");
+        let partial = solve_under(&st, &q, 1, &gov).expect("governed eval");
         assert_eq!(
             partial.completion,
             kgq_core::govern::Completion::Partial(Interrupt::ResultBudget)
@@ -1734,7 +1689,7 @@ mod tests {
         q.add(&mut st, "?a", "knows", "?b");
         let gov = Governor::unlimited();
         gov.cancel_token().cancel();
-        let out = solve_governed(&st, &q, &gov).expect("governed eval");
+        let out = solve_under(&st, &q, 1, &gov).expect("governed eval");
         assert_eq!(
             out.completion,
             kgq_core::govern::Completion::Partial(Interrupt::Cancelled)
@@ -1816,10 +1771,13 @@ mod tests {
         flipped.patterns[0].order = None;
         assert!(verify_plan(&st, &q, &flipped).is_err());
 
-        // The execution gate surfaces the same failure as a panic rather
-        // than silently returning wrong rows.
-        let res = std::panic::catch_unwind(|| solve_planned(&st, &q, &swapped, 1));
-        assert!(res.is_err());
+        // The execution gates surface the same failure as a typed error
+        // rather than silently returning wrong rows.
+        let gov = Governor::unlimited();
+        let res = solve_planned_governed(&st, &q, &swapped, 1, &gov);
+        assert!(matches!(res, Err(EvalError::PlanUnsound(_))));
+        let res = count_planned_governed(&st, &q, &swapped, &gov);
+        assert!(matches!(res, Err(EvalError::PlanUnsound(_))));
     }
 
     #[test]
@@ -1828,7 +1786,7 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?x", "knows", "?y");
         q.add(&mut st, "?u", "type", "?t");
-        let fast = solve(&st, &q);
+        let fast = solve_all(&st, &q, 1);
         assert_eq!(fast.rows.len(), 9);
         assert_eq!(canon(fast.bindings()), canon(q.solve_baseline(&st)));
     }
@@ -1838,7 +1796,7 @@ mod tests {
         let mut st = sample();
         let mut q = Bgp::new();
         q.add(&mut st, "alice", "?p", "?o");
-        let fast = solve(&st, &q);
+        let fast = solve_all(&st, &q, 1);
         assert_eq!(canon(fast.bindings()), canon(q.solve_baseline(&st)));
     }
 }

@@ -11,9 +11,9 @@
 //!   and bulk [`store::TripleStore::extend`] loading;
 //! * [`ntriples`] — a reader/writer for an N-Triples subset;
 //! * [`bgp`] — basic graph pattern matching (the conjunctive core of
-//!   SPARQL \[38\]); [`bgp::Bgp::solve`] runs on the worst-case optimal
-//!   leapfrog triejoin in [`lftj`], with the original backtracking
-//!   matcher kept as [`bgp::Bgp::solve_baseline`], the testing oracle;
+//!   SPARQL \[38\]), evaluated by the worst-case optimal leapfrog
+//!   triejoin in [`lftj`], with the original backtracking matcher kept
+//!   as [`bgp::Bgp::solve_baseline`], the testing oracle;
 //! * [`lftj`] — the triejoin itself: cardinality-driven variable
 //!   elimination order, galloping trie cursors over the sorted
 //!   orderings, deterministic partitioned parallelism, and governed
@@ -30,16 +30,21 @@
 //!   range entailments into the store.
 
 //! ```
-//! use kgq_rdf::{TripleStore, Bgp, rpq_pairs};
+//! use kgq_core::Governor;
+//! use kgq_rdf::{lftj, rpq_pairs, Bgp, TripleStore};
 //!
 //! let mut st = TripleStore::new();
 //! st.insert_strs("ana", "knows", "ben");
 //! st.insert_strs("ben", "knows", "cal");
 //! let mut q = Bgp::new();
 //! q.add(&mut st, "?x", "knows", "?y");
-//! assert_eq!(q.solve(&st).len(), 2);
+//! // No budget: an unlimited governor.
+//! let gov = Governor::unlimited();
+//! let plan = lftj::plan(&st, &q);
+//! let sol = lftj::solve_planned_governed(&st, &q, &plan, 1, &gov).unwrap();
+//! assert_eq!(sol.value.rows.len(), 2);
 //! // Property paths via the §4 machinery:
-//! let closure = rpq_pairs(&st, "knows/(knows)*").unwrap();
+//! let closure = rpq_pairs(&st, "knows/(knows)*", &gov).unwrap().value;
 //! assert!(closure.contains(&("ana".to_string(), "cal".to_string())));
 //! ```
 
@@ -58,7 +63,7 @@ pub use analyze::{analyze_bgp, BgpReport, BgpVerdict};
 pub use bgp::{Bgp, Binding, TermPattern, TriplePattern};
 pub use convert::{labeled_to_rdf, rdf_to_labeled, RDF_TYPE};
 pub use lftj::{
-    count, count_planned, count_planned_governed, plan_best, plan_sketched, verify_plan,
+    count_planned_governed, plan_best, plan_sketched, solve_planned_governed, verify_plan,
     LevelConstraints, LevelEstimate, Plan, SketchPlan, Solution,
 };
 pub use ntriples::{parse_ntriples, write_ntriples};
@@ -70,7 +75,7 @@ pub use sketch::{
     approx_count_bgp, approx_count_bgp_governed, BgpCountParams, StoreSketch,
 };
 pub use sparql::{
-    explain_parsed, explain_select, parse_select, select, select_governed, select_governed_with,
-    SelectOutcome, SelectQuery, SparqlParseError,
+    explain_parsed, explain_select, parse_select, select_governed_with, SelectOutcome, SelectQuery,
+    SparqlParseError,
 };
 pub use store::{IndexOrder, Triple, TripleStore};

@@ -8,6 +8,7 @@ use crate::convert::rdf_to_labeled;
 use crate::store::TripleStore;
 use kgq_core::analyze::analyze_expr;
 use kgq_core::eval::Evaluator;
+use kgq_core::govern::{EvalError, Governed, Governor};
 use kgq_core::model::LabeledView;
 use kgq_core::parser::{parse_expr, ParseError};
 use kgq_graph::{GraphError, SchemaSummary};
@@ -20,6 +21,8 @@ pub enum RpqError {
     Parse(ParseError),
     /// The store could not be viewed as a labeled graph.
     Graph(GraphError),
+    /// Evaluation failed (a worker panic or an overflow).
+    Eval(EvalError),
 }
 
 impl fmt::Display for RpqError {
@@ -27,6 +30,7 @@ impl fmt::Display for RpqError {
         match self {
             RpqError::Parse(e) => write!(f, "path expression: {e}"),
             RpqError::Graph(e) => write!(f, "store conversion: {e}"),
+            RpqError::Eval(e) => write!(f, "evaluation: {e}"),
         }
     }
 }
@@ -45,46 +49,64 @@ impl From<GraphError> for RpqError {
     }
 }
 
+impl From<EvalError> for RpqError {
+    fn from(e: EvalError) -> Self {
+        RpqError::Eval(e)
+    }
+}
+
 /// All `(start, end)` term pairs connected by a path matching
 /// `expr_text`, as term strings, sorted. The static analyzer runs first:
 /// a provably empty language (e.g. a predicate missing from the store
 /// vocabulary) short-circuits to the empty answer before evaluation.
-pub fn rpq_pairs(st: &TripleStore, expr_text: &str) -> Result<Vec<(String, String)>, RpqError> {
+/// Evaluation runs under `gov`; a partial answer is the sorted prefix the
+/// budget allowed.
+pub fn rpq_pairs(
+    st: &TripleStore,
+    expr_text: &str,
+    gov: &Governor,
+) -> Result<Governed<Vec<(String, String)>>, RpqError> {
     let mut g = rdf_to_labeled(st)?;
     let expr = parse_expr(expr_text, g.consts_mut())?;
     let schema = SchemaSummary::from_labeled(&g);
     if analyze_expr(&expr, &schema, Some((expr_text, g.consts()))).provably_empty {
-        return Ok(Vec::new());
+        return Ok(Governed::complete(Vec::new()));
     }
-    let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &expr);
-    let mut pairs: Vec<(String, String)> = ev
-        .pairs()
-        .into_iter()
-        .map(|(a, b)| (g.node_name(a).to_owned(), g.node_name(b).to_owned()))
-        .collect();
-    pairs.sort();
-    Ok(pairs)
+    let ev = match Evaluator::new_governed(&LabeledView::new(&g), &expr, gov) {
+        Ok(ev) => ev,
+        Err(why) => return Ok(Governed::partial(Vec::new(), why)),
+    };
+    let name = |n| g.node_name(n).to_owned();
+    let res = ev.pairs_governed(gov)?;
+    Ok(res.map(|pairs| sorted(pairs.into_iter().map(|(a, b)| (name(a), name(b))))))
 }
 
 /// All terms starting a matching path, as term strings, sorted. Consults
-/// the static analyzer first, like [`rpq_pairs`].
-pub fn rpq_starts(st: &TripleStore, expr_text: &str) -> Result<Vec<String>, RpqError> {
+/// the static analyzer first and runs under `gov`, like [`rpq_pairs`].
+pub fn rpq_starts(
+    st: &TripleStore,
+    expr_text: &str,
+    gov: &Governor,
+) -> Result<Governed<Vec<String>>, RpqError> {
     let mut g = rdf_to_labeled(st)?;
     let expr = parse_expr(expr_text, g.consts_mut())?;
     let schema = SchemaSummary::from_labeled(&g);
     if analyze_expr(&expr, &schema, Some((expr_text, g.consts()))).provably_empty {
-        return Ok(Vec::new());
+        return Ok(Governed::complete(Vec::new()));
     }
-    let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &expr);
-    let mut starts: Vec<String> = ev
-        .matching_starts()
-        .into_iter()
-        .map(|n| g.node_name(n).to_owned())
-        .collect();
-    starts.sort();
-    Ok(starts)
+    let ev = match Evaluator::new_governed(&LabeledView::new(&g), &expr, gov) {
+        Ok(ev) => ev,
+        Err(why) => return Ok(Governed::partial(Vec::new(), why)),
+    };
+    let res = ev.matching_starts_governed(gov)?;
+    Ok(res.map(|starts| sorted(starts.into_iter().map(|n| g.node_name(n).to_owned()))))
+}
+
+/// Collects and sorts, for a deterministic row surface.
+fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut v: Vec<T> = items.collect();
+    v.sort();
+    v
 }
 
 #[cfg(test)]
@@ -106,7 +128,9 @@ mod tests {
     #[test]
     fn transitive_property_path() {
         let st = family();
-        let pairs = rpq_pairs(&st, "parentOf/(parentOf)*").unwrap();
+        let pairs = rpq_pairs(&st, "parentOf/(parentOf)*", &Governor::unlimited())
+            .unwrap()
+            .value;
         assert_eq!(
             pairs,
             vec![
@@ -120,7 +144,9 @@ mod tests {
     #[test]
     fn inverse_and_node_tests() {
         let st = family();
-        let starts = rpq_starts(&st, "?person/parentOf^-/?person").unwrap();
+        let starts = rpq_starts(&st, "?person/parentOf^-/?person", &Governor::unlimited())
+            .unwrap()
+            .value;
         assert_eq!(starts, vec!["ben".to_owned(), "cal".to_owned()]);
     }
 
@@ -129,7 +155,9 @@ mod tests {
         let mut st = family();
         st.insert_strs("parentOf", RDFS_SUBPROPERTY, "ancestorOf");
         materialize_rdfs(&mut st);
-        let pairs = rpq_pairs(&st, "(ancestorOf)*").unwrap();
+        let pairs = rpq_pairs(&st, "(ancestorOf)*", &Governor::unlimited())
+            .unwrap()
+            .value;
         // Reflexive pairs for every node + the two derived edges + chain.
         assert!(pairs.contains(&("ana".to_owned(), "cal".to_owned())));
     }
@@ -137,7 +165,7 @@ mod tests {
     #[test]
     fn parse_errors_surface() {
         let st = family();
-        let err = rpq_pairs(&st, "parentOf/").unwrap_err();
+        let err = rpq_pairs(&st, "parentOf/", &Governor::unlimited()).unwrap_err();
         assert!(matches!(err, RpqError::Parse(_)));
         assert!(err.to_string().contains("path expression"));
     }

@@ -474,7 +474,7 @@ fn round_estimate(
 
     let survivors = |m: usize| -> Result<(u64, Option<Interrupt>), EvalError> {
         let lc = schedule(nlevels, &exts, &cons[..m]);
-        lftj::count_planned_capped(st, bgp, &sp.plan, &lc, thresh + 1, Some(gov))
+        lftj::count_planned_capped(st, bgp, &sp.plan, &lc, thresh + 1, gov)
     };
 
     let (mut lo, mut hi) = (1usize, MAX_M);
@@ -550,8 +550,7 @@ pub fn approx_count_bgp_governed(
     let sp = lftj::plan_sketched(st, sk, bgp);
     let thresh = pivot(params.epsilon);
     let none = LevelConstraints::none(sp.plan.vars.len());
-    let (probe, tripped) =
-        lftj::count_planned_capped(st, bgp, &sp.plan, &none, thresh + 1, Some(gov))?;
+    let (probe, tripped) = lftj::count_planned_capped(st, bgp, &sp.plan, &none, thresh + 1, gov)?;
     if tripped.is_none() && probe <= thresh {
         // Small count: exact, complete, not degraded.
         return Ok(Governed::complete(probe));

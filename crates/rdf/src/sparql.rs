@@ -16,8 +16,9 @@
 //! Evaluation runs the static checks of [`crate::analyze`] (a provably
 //! empty pattern short-circuits before planning), then the leapfrog
 //! triejoin of [`crate::lftj`]; [`explain_select`] surfaces the
-//! diagnostics and the chosen plan, and [`select_governed`] threads the
-//! `kgq-core` governance contract through evaluation.
+//! diagnostics and the chosen plan, and [`select_governed_with`] — the
+//! one evaluation entry point — threads the `kgq-core` governance
+//! contract through it.
 
 use crate::analyze::analyze_bgp;
 use crate::bgp::{Bgp, TermPattern, TriplePattern};
@@ -301,48 +302,6 @@ fn projected(q: &SelectQuery) -> Option<&[String]> {
     }
 }
 
-/// Parses and evaluates a SELECT query, returning rows of term strings
-/// in projection order, sorted for determinism. A provably empty
-/// pattern (static analysis) short-circuits before planning; a COUNT
-/// query returns a single one-column row with the exact answer count.
-/// Planning is sketch-driven ([`crate::lftj::plan_best`]); the sketch
-/// only influences elimination order, so output is byte-identical to
-/// the greedy planner's.
-pub fn select(st: &mut TripleStore, query: &str) -> Result<Vec<Vec<String>>, SparqlParseError> {
-    let q = parse_select(query, st)?;
-    if analyze_bgp(st, &q.pattern, projected(&q)).provably_empty {
-        return Ok(match &q.count {
-            Some(_) => vec![vec!["0".to_owned()]],
-            None => Vec::new(),
-        });
-    }
-    let sk = StoreSketch::build(st);
-    let (plan, _, _) = crate::lftj::plan_best(st, &sk, &q.pattern);
-    if q.count.is_some() {
-        let n = crate::lftj::count_planned(st, &q.pattern, &plan);
-        return Ok(vec![vec![n.to_string()]]);
-    }
-    let sol = crate::lftj::solve_planned(
-        st,
-        &q.pattern,
-        &plan,
-        kgq_core::parallel::effective_threads(),
-    );
-    Ok(project(st, &q, &sol))
-}
-
-/// Evaluates an already-parsed SELECT query under a governor: batched
-/// step accounting through every trie seek, panic-isolated workers, and
-/// an exact-prefix `Partial` (of the unprojected binding set) on budget
-/// exhaustion.
-pub fn select_governed(
-    st: &TripleStore,
-    q: &SelectQuery,
-    gov: &Governor,
-) -> Result<Governed<Vec<Vec<String>>>, EvalError> {
-    select_governed_with(st, q, None, gov).map(|o| o.rows)
-}
-
 /// What [`select_governed_with`] produced, plus how: whether the
 /// sketch planner supplied the executed plan (vs the greedy fallback)
 /// and whether a COUNT query degraded to the FPRAS estimate — the
@@ -356,12 +315,21 @@ pub struct SelectOutcome {
     pub approx_count: bool,
 }
 
-/// [`select_governed`] with an optional pre-built [`StoreSketch`]:
-/// sketch-driven planning when available (greedy otherwise), and — for
-/// COUNT queries — the governed degradation ladder: exact count while
+/// Evaluates a parsed SELECT query — the one SPARQL entry point —
+/// returning rows of term strings in projection order, sorted and
+/// deduplicated for determinism. A provably empty pattern (static
+/// analysis) short-circuits before planning. Planning is sketch-driven
+/// when a pre-built [`StoreSketch`] is supplied (greedy otherwise); the
+/// sketch only influences elimination order, so output is byte-identical
+/// either way.
+///
+/// Everything runs under `gov` (pass [`Governor::unlimited`] for no
+/// budget): batched step accounting through every trie seek,
+/// panic-isolated workers, and an exact-prefix `Partial` (of the
+/// unprojected binding set) on exhaustion. A COUNT query returns one
+/// one-column row and follows the degradation ladder: exact count while
 /// the budget lasts, then an XOR-hash (ε, δ) estimate under a successor
-/// budget with the `degraded` flag set. The exact path's output is
-/// byte-identical whether or not a sketch is supplied.
+/// budget with the `degraded` flag set.
 pub fn select_governed_with(
     st: &TripleStore,
     q: &SelectQuery,
@@ -414,22 +382,20 @@ pub fn select_governed_with(
             &gov.successor(),
         )?;
         return Ok(SelectOutcome {
-            rows: Governed {
-                value: vec![vec![approx.value.to_string()]],
-                completion: approx.completion,
-                degraded: approx.degraded,
-            },
+            rows: approx.map(|n| vec![vec![n.to_string()]]),
             sketch_planned,
             approx_count: true,
         });
     }
-    let governed = crate::lftj::solve_planned_governed(st, &q.pattern, &plan, gov)?;
+    let governed = crate::lftj::solve_planned_governed(
+        st,
+        &q.pattern,
+        &plan,
+        kgq_core::parallel::effective_threads(),
+        gov,
+    )?;
     Ok(SelectOutcome {
-        rows: Governed {
-            value: project(st, q, &governed.value),
-            completion: governed.completion,
-            degraded: governed.degraded,
-        },
+        rows: governed.map(|sol| project(st, q, &sol)),
         sketch_planned,
         approx_count: false,
     })
@@ -498,6 +464,19 @@ pub fn explain_parsed(st: &TripleStore, q: &SelectQuery) -> (crate::analyze::Bgp
 mod tests {
     use super::*;
 
+    /// Parses `query` and evaluates it with the sketch planner under an
+    /// unlimited governor.
+    fn select_rows(
+        st: &mut TripleStore,
+        query: &str,
+    ) -> Result<Vec<Vec<String>>, SparqlParseError> {
+        let q = parse_select(query, st)?;
+        let sk = StoreSketch::build(st);
+        let out = select_governed_with(st, &q, Some(&sk), &Governor::unlimited()).unwrap();
+        assert!(out.rows.completion.is_complete());
+        Ok(out.rows.value)
+    }
+
     fn sample() -> TripleStore {
         let mut st = TripleStore::new();
         st.insert_strs("julia", RDF_TYPE, "person");
@@ -512,7 +491,7 @@ mod tests {
     #[test]
     fn basic_select_with_type_abbreviation() {
         let mut st = sample();
-        let rows = select(
+        let rows = select_rows(
             &mut st,
             "SELECT ?p WHERE { ?p <rides> ?b . ?p a <person> . ?b a <bus> }",
         )
@@ -525,7 +504,7 @@ mod tests {
         let mut st = sample();
         let q = parse_select("SELECT * WHERE { ?x <rides> ?y }", &mut st).unwrap();
         assert_eq!(q.vars, vec!["x", "y"]);
-        let rows = select(&mut st, "SELECT * WHERE { ?x <rides> ?y }").unwrap();
+        let rows = select_rows(&mut st, "SELECT * WHERE { ?x <rides> ?y }").unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec!["ana", "b7"]);
     }
@@ -533,14 +512,14 @@ mod tests {
     #[test]
     fn literals_in_object_position() {
         let mut st = sample();
-        let rows = select(&mut st, "SELECT ?p WHERE { ?p <name> \"Julia\" }").unwrap();
+        let rows = select_rows(&mut st, "SELECT ?p WHERE { ?p <name> \"Julia\" }").unwrap();
         assert_eq!(rows, vec![vec!["julia"]]);
     }
 
     #[test]
     fn multiline_and_trailing_dot() {
         let mut st = sample();
-        let rows = select(
+        let rows = select_rows(
             &mut st,
             "SELECT ?p ?b WHERE {\n  ?p <rides> ?b .\n  ?p a <person> .\n}",
         )
@@ -552,15 +531,15 @@ mod tests {
     #[test]
     fn errors_are_informative() {
         let mut st = sample();
-        let e = select(&mut st, "ASK { ?x <p> ?y }").unwrap_err();
+        let e = select_rows(&mut st, "ASK { ?x <p> ?y }").unwrap_err();
         assert!(e.message.contains("SELECT"));
-        let e = select(&mut st, "SELECT ?x WHERE { }").unwrap_err();
+        let e = select_rows(&mut st, "SELECT ?x WHERE { }").unwrap_err();
         assert!(e.message.contains("no triple patterns"));
-        let e = select(&mut st, "SELECT ?z WHERE { ?x <p> ?y }").unwrap_err();
+        let e = select_rows(&mut st, "SELECT ?z WHERE { ?x <p> ?y }").unwrap_err();
         assert!(e.message.contains("not bound"));
-        let e = select(&mut st, "SELECT ?x WHERE { ?x <p ?y }").unwrap_err();
+        let e = select_rows(&mut st, "SELECT ?x WHERE { ?x <p ?y }").unwrap_err();
         assert!(e.message.contains("unterminated IRI"));
-        let e = select(&mut st, "SELECT ?x WHERE { ?x <p> ?y } garbage").unwrap_err();
+        let e = select_rows(&mut st, "SELECT ?x WHERE { ?x <p> ?y } garbage").unwrap_err();
         assert!(e.message.contains("trailing"));
     }
 
@@ -568,20 +547,21 @@ mod tests {
     fn keyword_case_and_a_as_variable_name() {
         let mut st = sample();
         // `a` in subject/object position is NOT the type keyword.
-        let rows = select(&mut st, "select ?a where { ?a a <bus> }").unwrap();
+        let rows = select_rows(&mut st, "select ?a where { ?a a <bus> }").unwrap();
         assert_eq!(rows, vec![vec!["b7"]]);
     }
 
     #[test]
-    fn unlimited_governed_select_matches_plain() {
+    fn unlimited_select_is_identical_with_and_without_a_sketch() {
         let mut st = sample();
         let query = "SELECT ?p ?b WHERE { ?p <rides> ?b . ?p a <person> }";
-        let plain = select(&mut st, query).unwrap();
+        let sketched = select_rows(&mut st, query).unwrap();
         let q = parse_select(query, &mut st).unwrap();
         let gov = Governor::unlimited();
-        let governed = select_governed(&st, &q, &gov).unwrap();
-        assert!(governed.completion.is_complete());
-        assert_eq!(governed.value, plain);
+        let greedy = select_governed_with(&st, &q, None, &gov).unwrap();
+        assert!(!greedy.sketch_planned);
+        assert!(greedy.rows.completion.is_complete());
+        assert_eq!(greedy.rows.value, sketched);
     }
 
     #[test]
@@ -604,7 +584,7 @@ mod tests {
     #[test]
     fn provably_empty_select_short_circuits() {
         let mut st = sample();
-        let rows = select(&mut st, "SELECT ?x WHERE { ?x <flies> ?y }").unwrap();
+        let rows = select_rows(&mut st, "SELECT ?x WHERE { ?x <flies> ?y }").unwrap();
         assert!(rows.is_empty());
         let text = explain_select(&mut st, "SELECT ?x WHERE { ?x <flies> ?y }").unwrap();
         assert!(text.contains("short-circuit"), "{text}");

@@ -10,10 +10,28 @@
 //! mutex.
 #![cfg(feature = "fault-injection")]
 
-use kgq_core::govern::{fault, Budget, EvalError, Governor};
+use kgq_core::govern::{fault, Budget, EvalError, Governed, Governor};
 use kgq_rdf::bgp::Bgp;
-use kgq_rdf::{lftj, TripleStore};
+use kgq_rdf::{lftj, Solution, TripleStore};
 use std::sync::{Mutex, MutexGuard, Once};
+
+/// `lftj::solve_planned_governed` over the greedy plan with `chunks`
+/// partitions, under `gov`.
+fn solve_under(
+    st: &TripleStore,
+    bgp: &Bgp,
+    chunks: usize,
+    gov: &Governor,
+) -> Result<Governed<Solution>, EvalError> {
+    lftj::solve_planned_governed(st, bgp, &lftj::plan(st, bgp), chunks, gov)
+}
+
+/// [`solve_under`] with an unlimited governor, which always completes.
+fn solve_all(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
+    let res = solve_under(st, bgp, chunks, &Governor::unlimited()).unwrap();
+    assert!(res.completion.is_complete());
+    res.value
+}
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -67,11 +85,12 @@ fn setup(n: u32) -> (TripleStore, Bgp) {
 fn injected_panic_surfaces_as_typed_error_and_retry_is_clean() {
     let _guard = serial();
     let (st, q) = setup(12);
-    let expected = lftj::solve(&st, &q);
+    let expected = solve_all(&st, &q, kgq_core::parallel::effective_threads());
 
     fault::arm("lftj::join", fault::Action::Panic, 0);
     let gov = Governor::unlimited();
-    let err = lftj::solve_governed(&st, &q, &gov).expect_err("armed panic must surface");
+    let err = solve_under(&st, &q, kgq_core::parallel::effective_threads(), &gov)
+        .expect_err("armed panic must surface");
     match err {
         EvalError::Panic(msg) => assert!(
             msg.contains("injected fault"),
@@ -83,7 +102,13 @@ fn injected_panic_surfaces_as_typed_error_and_retry_is_clean() {
     // The fault fired once; a fresh governed run is byte-identical to
     // the unfaulted answer — nothing was cached or corrupted.
     fault::clear();
-    let retry = lftj::solve_governed(&st, &q, &Governor::unlimited()).expect("clean retry");
+    let retry = solve_under(
+        &st,
+        &q,
+        kgq_core::parallel::effective_threads(),
+        &Governor::unlimited(),
+    )
+    .expect("clean retry");
     assert!(retry.completion.is_complete());
     assert_eq!(retry.value, expected);
 }
@@ -92,14 +117,15 @@ fn injected_panic_surfaces_as_typed_error_and_retry_is_clean() {
 fn starvation_yields_exact_prefix() {
     let _guard = serial();
     let (st, q) = setup(600);
-    let full = lftj::solve(&st, &q);
+    let full = solve_all(&st, &q, kgq_core::parallel::effective_threads());
     assert!(!full.rows.is_empty(), "triangle query must have answers");
 
     // Starve the governor from its third step charge onwards: the join
     // is interrupted mid-flight and must hand back an exact prefix.
     fault::arm_persistent("govern::tick", fault::Action::Starve, 2);
     let gov = Governor::new(&Budget::unlimited());
-    let got = lftj::solve_governed(&st, &q, &gov).expect("starvation is not an error");
+    let got = solve_under(&st, &q, kgq_core::parallel::effective_threads(), &gov)
+        .expect("starvation is not an error");
     assert!(
         !got.completion.is_complete(),
         "persistent starvation must interrupt"

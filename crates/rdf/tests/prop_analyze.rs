@@ -5,10 +5,28 @@
 //! evaluating), and every plan the planner emits must pass the
 //! independent soundness verifier.
 
-use kgq_core::govern::{Budget, Completion, Governor};
+use kgq_core::govern::{Budget, Completion, EvalError, Governed, Governor};
 use kgq_rdf::bgp::Bgp;
-use kgq_rdf::{analyze_bgp, lftj, TripleStore};
+use kgq_rdf::{analyze_bgp, lftj, Solution, TripleStore};
 use proptest::prelude::*;
+
+/// `lftj::solve_planned_governed` over the greedy plan with `chunks`
+/// partitions, under `gov`.
+fn solve_under(
+    st: &TripleStore,
+    bgp: &Bgp,
+    chunks: usize,
+    gov: &Governor,
+) -> Result<Governed<Solution>, EvalError> {
+    lftj::solve_planned_governed(st, bgp, &lftj::plan(st, bgp), chunks, gov)
+}
+
+/// [`solve_under`] with an unlimited governor, which always completes.
+fn solve_all(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
+    let res = solve_under(st, bgp, chunks, &Governor::unlimited()).unwrap();
+    assert!(res.completion.is_complete());
+    res.value
+}
 
 const TERMS: usize = 6;
 const VARS: usize = 4;
@@ -67,7 +85,7 @@ proptest! {
         let report = analyze_bgp(&st, &bgp, None);
         if report.provably_empty {
             for chunks in [1usize, 2, 4] {
-                let sol = lftj::solve_partitioned(&st, &bgp, chunks);
+                let sol = solve_all(&st, &bgp, chunks);
                 prop_assert!(
                     sol.rows.is_empty(),
                     "analyzer declared the BGP empty but evaluation at {} chunk(s) \
@@ -102,17 +120,31 @@ proptest! {
 
     /// With an unlimited budget the analysis-gated governed evaluator
     /// (which re-verifies the plan before running) completes and returns
-    /// exactly the ungoverned answer — the soundness gate never rejects
-    /// a legitimate plan or perturbs results.
+    /// the backtracking oracle's answer, identically at one partition and
+    /// at the pool's — the soundness gate never rejects a legitimate plan
+    /// or perturbs results.
     #[test]
-    fn verified_governed_run_matches_ungoverned(
+    fn verified_governed_run_matches_the_baseline(
         triples in proptest::collection::vec((0..TERMS, 0..TERMS, 0..TERMS), 0..40),
         patterns in proptest::collection::vec(pattern(), 1..5),
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let full = lftj::solve(&st, &bgp);
+        let full = solve_all(&st, &bgp, 1);
+        let canon = |b: Vec<kgq_rdf::Binding>| {
+            let mut v: Vec<Vec<(String, kgq_graph::Sym)>> = b
+                .into_iter()
+                .map(|m| {
+                    let mut row: Vec<_> = m.into_iter().collect();
+                    row.sort();
+                    row
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        prop_assert_eq!(canon(full.bindings()), canon(bgp.solve_baseline(&st)));
         let gov = Governor::new(&Budget::unlimited());
-        let got = lftj::solve_governed(&st, &bgp, &gov)
+        let got = solve_under(&st, &bgp, kgq_core::parallel::effective_threads(), &gov)
             .expect("unlimited governed run must not error (PlanUnsound would surface here)");
         prop_assert!(matches!(got.completion, Completion::Complete));
         prop_assert_eq!(got.value, full);

@@ -5,10 +5,28 @@
 //! byte-identical output at any partition count, and yield exact
 //! prefixes of the ungoverned answer when a governor trips.
 
-use kgq_core::govern::{Budget, Completion, Governor};
+use kgq_core::govern::{Budget, Completion, EvalError, Governed, Governor};
 use kgq_rdf::bgp::{Bgp, Binding};
-use kgq_rdf::{lftj, TripleStore};
+use kgq_rdf::{lftj, Solution, TripleStore};
 use proptest::prelude::*;
+
+/// `lftj::solve_planned_governed` over the greedy plan with `chunks`
+/// partitions, under `gov`.
+fn solve_under(
+    st: &TripleStore,
+    bgp: &Bgp,
+    chunks: usize,
+    gov: &Governor,
+) -> Result<Governed<Solution>, EvalError> {
+    lftj::solve_planned_governed(st, bgp, &lftj::plan(st, bgp), chunks, gov)
+}
+
+/// [`solve_under`] with an unlimited governor, which always completes.
+fn solve_all(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
+    let res = solve_under(st, bgp, chunks, &Governor::unlimited()).unwrap();
+    assert!(res.completion.is_complete());
+    res.value
+}
 
 const TERMS: usize = 6;
 const VARS: usize = 4;
@@ -76,7 +94,7 @@ proptest! {
         patterns in proptest::collection::vec(pattern(), 1..6),
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let fast = canon(lftj::solve(&st, &bgp).bindings());
+        let fast = canon(solve_all(&st, &bgp, kgq_core::parallel::effective_threads()).bindings());
         let slow = canon(bgp.solve_baseline(&st));
         prop_assert_eq!(fast, slow);
     }
@@ -89,15 +107,16 @@ proptest! {
         patterns in proptest::collection::vec(pattern(), 1..5),
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let one = lftj::solve_partitioned(&st, &bgp, 1);
+        let one = solve_all(&st, &bgp, 1);
         for chunks in [2usize, 4] {
-            let many = lftj::solve_partitioned(&st, &bgp, chunks);
+            let many = solve_all(&st, &bgp, chunks);
             prop_assert_eq!(&one, &many, "chunks = {}", chunks);
         }
     }
 
-    /// A tripped result budget yields an exact prefix of the ungoverned
-    /// row stream; an untripped one yields the identical complete answer.
+    /// A tripped result budget yields an exact prefix of the unlimited
+    /// row stream (itself the baseline oracle's answer); an untripped one
+    /// yields the identical complete answer.
     #[test]
     fn governed_runs_are_exact_prefixes(
         triples in proptest::collection::vec((0..TERMS, 0..TERMS, 0..TERMS), 0..40),
@@ -105,9 +124,10 @@ proptest! {
         limit in 0usize..12,
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let full = lftj::solve(&st, &bgp);
+        let full = solve_all(&st, &bgp, 1);
+        prop_assert_eq!(canon(full.bindings()), canon(bgp.solve_baseline(&st)));
         let gov = Governor::new(&Budget::unlimited().with_max_results(limit as u64));
-        let got = lftj::solve_governed(&st, &bgp, &gov)
+        let got = solve_under(&st, &bgp, kgq_core::parallel::effective_threads(), &gov)
             .expect("governed run must not error");
         match got.completion {
             Completion::Complete => {

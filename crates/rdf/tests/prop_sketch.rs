@@ -7,13 +7,34 @@
 //! `approx_count_bgp` must land within its (ε, δ) contract — exactly,
 //! on counts at or below the pivot.
 
-use kgq_core::govern::Completion;
+use kgq_core::govern::{Completion, EvalError, Governed, Governor};
 use kgq_rdf::bgp::{Bgp, Binding};
 use kgq_rdf::sketch::DistinctSketch;
-use kgq_rdf::{approx_count_bgp, lftj, select, BgpCountParams, StoreSketch};
+use kgq_rdf::{
+    approx_count_bgp, lftj, parse_select, select_governed_with, BgpCountParams, Solution,
+    StoreSketch,
+};
 use kgq_rdf::{IndexOrder, TripleStore};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// `lftj::solve_planned_governed` over the greedy plan with `chunks`
+/// partitions, under `gov`.
+fn solve_under(
+    st: &TripleStore,
+    bgp: &Bgp,
+    chunks: usize,
+    gov: &Governor,
+) -> Result<Governed<Solution>, EvalError> {
+    lftj::solve_planned_governed(st, bgp, &lftj::plan(st, bgp), chunks, gov)
+}
+
+/// [`solve_under`] with an unlimited governor, which always completes.
+fn solve_all(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
+    let res = solve_under(st, bgp, chunks, &Governor::unlimited()).unwrap();
+    assert!(res.completion.is_complete());
+    res.value
+}
 
 const TERMS: usize = 6;
 const VARS: usize = 4;
@@ -151,8 +172,10 @@ proptest! {
         prop_assert!(lftj::verify_plan(&st, &bgp, &sp.plan).is_ok());
         let (best, sketched, _) = lftj::plan_best(&st, &sk, &bgp);
         prop_assert!(sketched, "verified sketch plan must be the chosen plan");
-        let a = canon(lftj::solve_planned(&st, &bgp, &best, 1).bindings());
-        let b = canon(lftj::solve(&st, &bgp).bindings());
+        let a = canon(lftj::solve_planned_governed(&st, &bgp, &best, 1, &Governor::unlimited())
+            .unwrap()
+            .value.bindings());
+        let b = canon(solve_all(&st, &bgp, kgq_core::parallel::effective_threads()).bindings());
         prop_assert_eq!(a, b);
     }
 
@@ -167,7 +190,9 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let exact = lftj::count(&st, &bgp);
+        let exact = lftj::count_planned_governed(&st, &bgp, &lftj::plan(&st, &bgp), &Governor::unlimited())
+            .unwrap()
+            .value;
         let sk = StoreSketch::build(&st);
         let params = BgpCountParams { seed, ..BgpCountParams::default() };
         if exact <= params.pivot() {
@@ -196,9 +221,13 @@ proptest! {
             text.push_str(&format!(" {} {} {} .", t(&p.s), t(&p.p), t(&p.o)));
         }
         text.push_str(" }");
-        let rows = select(&mut st, &text).unwrap();
+        let q = parse_select(&text, &mut st).unwrap();
+        let sk = StoreSketch::build(&st);
+        let out = select_governed_with(&st, &q, Some(&sk), &Governor::unlimited()).unwrap();
+        prop_assert!(out.rows.completion.is_complete());
+        let rows = out.rows.value;
         for chunks in [1usize, 2, 4] {
-            let n = lftj::solve_partitioned(&st, &bgp, chunks).rows.len();
+            let n = solve_all(&st, &bgp, chunks).rows.len();
             prop_assert_eq!(&rows, &vec![vec![n.to_string()]], "chunks = {}", chunks);
         }
     }

@@ -113,6 +113,7 @@ pub fn rpq_join_pairs<G: PathGraph>(
 mod tests {
     use super::*;
     use kgq_core::eval::Evaluator;
+    use kgq_core::govern::Governor;
     use kgq_core::model::LabeledView;
     use kgq_core::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
@@ -122,7 +123,11 @@ mod tests {
         let e = parse_expr(text, g.consts_mut()).unwrap();
         let view = LabeledView::new(g);
         let from_joins = rpq_join_pairs(&view, &e).unwrap();
-        let mut from_product = Evaluator::new(&view, &e).pairs();
+        let mut from_product = Evaluator::new_governed(&view, &e, &Governor::unlimited())
+            .unwrap()
+            .pairs_governed(&Governor::unlimited())
+            .unwrap()
+            .value;
         from_product.sort_unstable();
         assert_eq!(from_joins, from_product, "expr={text}");
     }

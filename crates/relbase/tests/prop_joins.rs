@@ -4,6 +4,7 @@
 
 use kgq_core::eval::Evaluator;
 use kgq_core::expr::{PathExpr, Test};
+use kgq_core::govern::Governor;
 use kgq_core::model::LabeledView;
 use kgq_graph::{LabeledGraph, NodeId};
 use kgq_relbase::rpq_join_pairs;
@@ -88,7 +89,11 @@ proptest! {
         let g = build(&spec);
         let view = LabeledView::new(&g);
         let from_joins = rpq_join_pairs(&view, &expr).unwrap();
-        let mut from_product = Evaluator::new(&view, &expr).pairs();
+        let mut from_product = Evaluator::new_governed(&view, &expr, &Governor::unlimited())
+            .unwrap()
+            .pairs_governed(&Governor::unlimited())
+            .unwrap()
+            .value;
         from_product.sort_unstable();
         prop_assert_eq!(from_joins, from_product);
     }

@@ -19,8 +19,8 @@ use crate::protocol::{effective_budget, Caps, Verb};
 use crate::stats::ServerStats;
 use kgq_core::analyze::{Diagnostic, Severity};
 use kgq_core::{
-    analyze_expr, count_paths_governed, parse_expr, Budget, CancelToken, Completion, EvalError,
-    Governed, Governor, PropertyView, QueryCache,
+    analyze_expr, count_paths_governed, parse_expr, Budget, CancelToken, EvalError, Governor,
+    PropertyView, QueryCache,
 };
 use kgq_graph::{PropertyGraph, SchemaSummary};
 use kgq_rdf::{StoreSketch, TripleStore};
@@ -279,7 +279,7 @@ impl Snapshot {
                         g.labeled().node_name(*b)
                     ));
                 }
-                let partial = marker(&mut out, &res);
+                let partial = res.write_trailer(&mut out);
                 Ok(Outcome::ok(out, partial))
             }
             "starts" => {
@@ -303,7 +303,7 @@ impl Snapshot {
                     out.push_str(g.labeled().node_name(*n));
                     out.push('\n');
                 }
-                let partial = marker(&mut out, &res);
+                let partial = res.write_trailer(&mut out);
                 Ok(Outcome::ok(out, partial))
             }
             "count" => {
@@ -321,7 +321,7 @@ impl Snapshot {
                 let res = count_paths_governed(&view, &expr, k, budget, cancel)
                     .map_err(|e| e.to_string())?;
                 out.push_str(&format!("{}\n", res.value));
-                let partial = marker(&mut out, &res);
+                let partial = res.write_trailer(&mut out);
                 Ok(Outcome::ok(out, partial))
             }
             other => Err(format!("unknown query op `{other}`")),
@@ -353,7 +353,7 @@ impl Snapshot {
             out.push_str(&row.join("\t"));
             out.push('\n');
         }
-        let partial = marker(&mut out, &res);
+        let partial = res.write_trailer(&mut out);
         Ok(Outcome::ok(out, partial))
     }
 
@@ -407,7 +407,7 @@ impl Snapshot {
             out.push_str(&row.join("\t"));
             out.push('\n');
         }
-        let partial = marker(&mut out, &res.rows);
+        let partial = res.rows.write_trailer(&mut out);
         Ok(Outcome::ok(out, partial))
     }
 
@@ -682,20 +682,6 @@ fn parse_mutations(
         })
         .collect();
     Ok((triples, edges))
-}
-
-/// Appends the CLI's `# partial:` / `# degraded:` trailer lines; returns
-/// whether the result was partial.
-fn marker<T>(out: &mut String, res: &Governed<T>) -> bool {
-    let mut partial = false;
-    if let Completion::Partial(why) = &res.completion {
-        out.push_str(&format!("# partial: {why}\n"));
-        partial = true;
-    }
-    if res.degraded {
-        out.push_str("# degraded: exact budget exhausted, approximate estimate\n");
-    }
-    partial
 }
 
 #[cfg(test)]

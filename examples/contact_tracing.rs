@@ -11,7 +11,8 @@
 
 use kgq::analytics::{bc_r_exact, BcrParams};
 use kgq::core::{
-    approx_count, parse_expr, ApproxParams, Evaluator, ExactCounter, LabeledView, UniformSampler,
+    approx_count, parse_expr, ApproxParams, Evaluator, ExactCounter, Governor, LabeledView,
+    UniformSampler,
 };
 use kgq::graph::generate::{contact_network, ContactParams};
 use rand::rngs::StdRng;
@@ -39,7 +40,11 @@ fn main() {
     // Direct exposure: shared a bus with an infected person.
     let direct = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
-    let directly_exposed = Evaluator::new(&view, &direct).matching_starts();
+    let directly_exposed = Evaluator::new_governed(&view, &direct, &Governor::unlimited())
+        .unwrap()
+        .matching_starts_governed(&Governor::unlimited())
+        .unwrap()
+        .value;
     println!(
         "\ndirectly exposed (shared a bus): {}",
         directly_exposed.len()
@@ -53,7 +58,11 @@ fn main() {
     )
     .unwrap();
     let view = LabeledView::new(&g);
-    let extended_exposed = Evaluator::new(&view, &extended).matching_starts();
+    let extended_exposed = Evaluator::new_governed(&view, &extended, &Governor::unlimited())
+        .unwrap()
+        .matching_starts_governed(&Governor::unlimited())
+        .unwrap()
+        .value;
     println!(
         "exposed via household/contact chains: {}",
         extended_exposed.len()

@@ -6,11 +6,21 @@
 //! cargo run --example gnn_vs_logic
 //! ```
 
-use kgq::core::{matching_starts, parse_expr, LabeledView};
+use kgq::core::{parse_expr, Evaluator, Governor, LabeledView, PathExpr};
 use kgq::gnn::builder::{psi_network, PSI_VOCAB};
 use kgq::gnn::{wl_colors, AcGnn};
 use kgq::graph::generate::{contact_network, ContactParams};
+use kgq::graph::NodeId;
 use kgq::logic::{compile_fo2, eval_bounded, Var};
+
+/// Nodes starting a path matching `expr`, with no budget.
+fn starts_of(view: &LabeledView, expr: &PathExpr) -> Vec<NodeId> {
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(view, expr, &gov).expect("compiles");
+    ev.matching_starts_governed(&gov)
+        .expect("no budget to exhaust")
+        .value
+}
 
 fn main() {
     let pg = contact_network(&ContactParams {
@@ -26,7 +36,7 @@ fn main() {
     // 1. Declarative: the regular path query.
     let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
-    let from_rpq = matching_starts(&view, &expr);
+    let from_rpq = starts_of(&view, &expr);
 
     // 2. Logical: compile to the two-variable formula ψ(x) and evaluate
     //    with binary tables only.

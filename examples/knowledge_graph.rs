@@ -5,12 +5,19 @@
 //! cargo run --example knowledge_graph
 //! ```
 
-use kgq::core::{matching_starts, parse_expr, LabeledView};
+use kgq::core::{parse_expr, Evaluator, Governor, LabeledView};
 use kgq::embed::{evaluate, train_store, TrainConfig};
 use kgq::rdf::{
-    materialize_rdfs, parse_ntriples, rdf_to_labeled, write_ntriples, Bgp, RDFS_SUBCLASS,
-    RDFS_SUBPROPERTY, RDF_TYPE,
+    lftj, materialize_rdfs, parse_ntriples, rdf_to_labeled, write_ntriples, Bgp, Binding,
+    TripleStore, RDFS_SUBCLASS, RDFS_SUBPROPERTY, RDF_TYPE,
 };
+
+/// Solves a BGP with the leapfrog triejoin, with no budget.
+fn solve(q: &Bgp, st: &TripleStore) -> Vec<Binding> {
+    let plan = lftj::plan(st, q);
+    let res = lftj::solve_planned_governed(st, q, &plan, 1, &Governor::unlimited());
+    res.expect("no budget to exhaust").value.bindings()
+}
 
 fn main() {
     // Load a tiny knowledge graph from N-Triples.
@@ -39,7 +46,7 @@ fn main() {
     q.add(&mut st, "?a", RDF_TYPE, "Scientist");
     q.add(&mut st, "?b", RDF_TYPE, "Scientist");
     println!("\nscientists sharing a prize:");
-    for binding in q.solve(&st) {
+    for binding in solve(&q, &st) {
         let a = st.term_str(binding["a"]);
         let b = st.term_str(binding["b"]);
         if a < b {
@@ -56,7 +63,9 @@ fn main() {
     )
     .unwrap();
     let view = LabeledView::new(&g);
-    let family_laureates = matching_starts(&view, &expr);
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(&view, &expr, &gov).expect("compiles");
+    let family_laureates = ev.matching_starts_governed(&gov).expect("no budget").value;
     println!("\nscientists in a laureate family network:");
     for n in family_laureates {
         println!("  {}", g.node_name(n));
@@ -77,7 +86,7 @@ fn main() {
     );
     let mut q = Bgp::new();
     q.add(&mut st, "?x", "relatedTo", "?y");
-    println!("derived relatedTo facts: {}", q.solve(&st).len());
+    println!("derived relatedTo facts: {}", solve(&q, &st).len());
 
     // Complete the graph (§2.3): TransE link prediction suggests who
     // else might be connected.

@@ -5,7 +5,10 @@
 //! ```
 
 use kgq::analytics::{bc_r_exact, betweenness_undirected};
-use kgq::core::{count_paths, enumerate_paths, parse_expr, Evaluator, LabeledView};
+use kgq::core::{
+    count_paths_governed, enumerate_paths_governed, parse_expr, Budget, CancelToken, Evaluator,
+    Governor, LabeledView, QueryCache,
+};
 use kgq::graph::figures::{figure2_labeled, figure2_property, figure2_vector};
 
 fn main() {
@@ -26,9 +29,15 @@ fn main() {
     let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut())
         .expect("valid expression");
     let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &expr);
+    // Every query runs under a governor; with no budget, an unlimited one.
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(&view, &expr, &gov).expect("compiles");
     println!("\npossibly exposed riders:");
-    for n in ev.matching_starts() {
+    for n in ev
+        .matching_starts_governed(&gov)
+        .expect("no budget to exhaust")
+        .value
+    {
         println!("  {}", g.node_name(n));
     }
 
@@ -37,12 +46,16 @@ fn main() {
     let n2 = g.node_named("n2").unwrap();
     let witness = ev.shortest_witness(n1, n2).expect("a path exists");
     println!("\nwitness: {}", witness.render(&g));
-    let paths = enumerate_paths(&view, &expr, 2);
+    let paths = enumerate_paths_governed(&view, &expr, 2, &gov)
+        .expect("no budget to exhaust")
+        .value
+        .paths;
     println!("all {} exposure paths:", paths.len());
     for p in &paths {
         println!("  {}", p.render(&g));
     }
-    assert_eq!(paths.len() as u128, count_paths(&view, &expr, 2).unwrap());
+    let count = count_paths_governed(&view, &expr, 2, &Budget::unlimited(), CancelToken::new());
+    assert_eq!(count.unwrap().value.to_string(), paths.len().to_string());
 
     // 4. Which node is the critical transport hub?
     let transport = parse_expr("?person/rides/?bus/rides^-/?person", g.consts_mut()).unwrap();
@@ -69,7 +82,8 @@ fn main() {
     )
     .expect("valid query");
     println!("\nCypher MATCH answers:");
-    for row in kgq::cypher::execute(&pg, &q) {
+    let rows = kgq::cypher::execute_governed(&pg, &q, &QueryCache::new(), &gov);
+    for row in rows.expect("no budget to exhaust").value {
         println!("  {} rides the exposed bus {}", row[0], row[1]);
     }
 

@@ -29,12 +29,15 @@
 //!
 //! ```
 //! use kgq::graph::figures::figure2_labeled;
-//! use kgq::core::{parse_expr, LabeledView, Evaluator};
+//! use kgq::core::{parse_expr, Evaluator, Governor, LabeledView};
 //!
 //! let mut g = figure2_labeled();
 //! let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
 //! let view = LabeledView::new(&g);
-//! let possibly_exposed = Evaluator::new(&view, &expr).matching_starts();
+//! // Every query runs under a governor; with no budget, an unlimited one.
+//! let gov = Governor::unlimited();
+//! let ev = Evaluator::new_governed(&view, &expr, &gov).unwrap();
+//! let possibly_exposed = ev.matching_starts_governed(&gov).unwrap().value;
 //! assert_eq!(possibly_exposed.len(), 2);
 //! ```
 

@@ -15,9 +15,9 @@
 
 use kgq::analytics;
 use kgq::core::{
-    analyze_expr, count_paths_analyzed, count_paths_governed, enumerate_paths,
-    enumerate_paths_governed, enumerate_paths_resumed, parse_expr, Budget, CancelToken, Completion,
-    Cursor, EvalError, Governed, Governor, PropertyView, QueryCache, UniformSampler,
+    analyze_expr, count_paths_governed, enumerate_paths_governed, enumerate_paths_resumed,
+    parse_expr, Budget, CancelToken, Cursor, EvalError, Governor, PropertyView, QueryCache,
+    UniformSampler,
 };
 use kgq::cypher;
 use kgq::graph::generate::{barabasi_albert, contact_network, gnm_labeled, ContactParams};
@@ -78,39 +78,25 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses the resource-governance flags. `None` when no flag is present:
-/// the command then takes the ungoverned (zero-overhead) paths.
-fn budget_from(args: &[String]) -> Result<Option<Budget>, String> {
-    let mut budget = Budget::default();
-    let mut any = false;
+/// Parses the resource-governance flags into a [`Budget`]; with no flag
+/// the budget is unlimited. Every query runs under a governor built from
+/// it, so a command behaves the same with or without flags until a limit
+/// is actually reached.
+fn budget_from(args: &[String]) -> Result<Budget, String> {
+    let mut budget = Budget::unlimited();
     if let Some(ms) = num_flag(args, "--timeout")? {
         budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-steps")? {
         budget = budget.with_max_steps(n);
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-results")? {
         budget = budget.with_max_results(n);
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-memory-mb")? {
         budget = budget.with_max_memory(n.saturating_mul(1 << 20));
-        any = true;
     }
-    Ok(any.then_some(budget))
-}
-
-/// Appends the `# partial:` / `# degraded:` trailer lines that mark a
-/// governed result as incomplete or downgraded.
-fn completion_marker<T>(out: &mut String, res: &Governed<T>) {
-    if let Completion::Partial(why) = &res.completion {
-        out.push_str(&format!("# partial: {why}\n"));
-    }
-    if res.degraded {
-        out.push_str("# degraded: exact budget exhausted, approximate estimate\n");
-    }
+    Ok(budget)
 }
 
 fn load_graph(path: &str) -> Result<kgq::graph::PropertyGraph, String> {
@@ -179,9 +165,13 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
     let verbose = rest.iter().any(|a| a == "--verbose");
     let mut out = String::new();
     match op {
-        "pairs" => {
-            if let Some(b) = &budget {
-                let gov = Governor::new(b);
+        "pairs" | "starts" => {
+            // A provably-empty query answers without compiling anything;
+            // the skipped compilation shows in the cache stats.
+            if report.is_provably_empty() {
+                cache.note_short_circuit();
+            } else {
+                let gov = Governor::new(&budget);
                 let compiled =
                     match cache.get_or_compile_governed(&view, g.generation(), &expr, &gov) {
                         Ok(c) => c,
@@ -194,57 +184,27 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
                         }
                         Err(e) => return Err(e.to_string()),
                     };
-                let res = compiled
-                    .evaluator()
-                    .pairs_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for (a, b) in &res.value {
-                    out.push_str(&format!(
-                        "{}\t{}\n",
-                        g.labeled().node_name(*a),
-                        g.labeled().node_name(*b)
-                    ));
-                }
-                completion_marker(&mut out, &res);
-            } else if let Some(compiled) =
-                cache.get_or_compile_checked(&view, g.generation(), &expr, &report)
-            {
-                for (a, b) in compiled.evaluator().pairs_planned(report.plan) {
-                    out.push_str(&format!(
-                        "{}\t{}\n",
-                        g.labeled().node_name(a),
-                        g.labeled().node_name(b)
-                    ));
-                }
-            }
-        }
-        "starts" => {
-            if let Some(b) = &budget {
-                let gov = Governor::new(b);
-                let compiled =
-                    match cache.get_or_compile_governed(&view, g.generation(), &expr, &gov) {
-                        Ok(c) => c,
-                        Err(EvalError::Interrupted(why)) => {
-                            out.push_str(&format!("# partial: {why}\n"));
-                            return Ok(out);
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                let res = compiled
-                    .evaluator()
-                    .matching_starts_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for n in &res.value {
-                    out.push_str(g.labeled().node_name(*n));
-                    out.push('\n');
-                }
-                completion_marker(&mut out, &res);
-            } else if let Some(compiled) =
-                cache.get_or_compile_checked(&view, g.generation(), &expr, &report)
-            {
-                for n in compiled.evaluator().matching_starts_planned(report.plan) {
-                    out.push_str(g.labeled().node_name(n));
-                    out.push('\n');
+                let ev = compiled.evaluator();
+                let names = g.labeled();
+                if op == "pairs" {
+                    let res = ev.pairs_governed(&gov).map_err(|e| e.to_string())?;
+                    for (a, b) in &res.value {
+                        out.push_str(&format!(
+                            "{}\t{}\n",
+                            names.node_name(*a),
+                            names.node_name(*b)
+                        ));
+                    }
+                    res.write_trailer(&mut out);
+                } else {
+                    let res = ev
+                        .matching_starts_governed(&gov)
+                        .map_err(|e| e.to_string())?;
+                    for n in &res.value {
+                        out.push_str(names.node_name(*n));
+                        out.push('\n');
+                    }
+                    res.write_trailer(&mut out);
                 }
             }
         }
@@ -253,23 +213,23 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
                 .get(1)
                 .and_then(|v| v.parse().ok())
                 .ok_or("count needs K")?;
-            if let Some(b) = &budget {
-                let res = count_paths_governed(&view, &expr, k, b, CancelToken::new())
+            // The analyzer's verdict frames the count: provably-empty
+            // short-circuits to 0, and a dfa-blowup `Deny` (a failed
+            // minimization, which the counter itself detects) goes
+            // straight to the FPRAS estimator with a degraded annotation.
+            if report.is_provably_empty() {
+                out.push_str("0\n");
+            } else {
+                let res = count_paths_governed(&view, &expr, k, &budget, CancelToken::new())
                     .map_err(|e| e.to_string())?;
                 out.push_str(&format!("{}\n", res.value));
-                completion_marker(&mut out, &res);
-            } else {
-                // The analyzer's verdict routes the count: provably-empty
-                // short-circuits to 0, a dfa-blowup `Deny` re-routes to
-                // the FPRAS estimator with a degraded annotation.
-                let res =
-                    count_paths_analyzed(&view, &expr, k, &report).map_err(|e| e.to_string())?;
-                out.push_str(&format!("{}\n", res.value));
-                if res.degraded {
+                if res.degraded && report.denies_exact_count() {
                     out.push_str(
                         "# degraded: exact counting denied (determinization blowup), \
                          approximate estimate\n",
                     );
+                } else {
+                    res.write_trailer(&mut out);
                 }
             }
         }
@@ -282,35 +242,28 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
                 Some(text) => Some(text.parse().map_err(|e| format!("--resume: {e}"))?),
                 None => None,
             };
-            if budget.is_some() || resume.is_some() {
-                let gov = Governor::new(&budget.unwrap_or_default());
-                let res = match match &resume {
-                    Some(cursor) => enumerate_paths_resumed(&view, &expr, cursor, &gov),
-                    None => enumerate_paths_governed(&view, &expr, k, &gov),
-                } {
-                    Ok(res) => res,
-                    // Exhausted before the enumerator was built: empty
-                    // partial (no cursor — there is nothing to resume).
-                    Err(EvalError::Interrupted(why)) => {
-                        out.push_str(&format!("# partial: {why}\n"));
-                        return Ok(out);
-                    }
-                    Err(e) => return Err(e.to_string()),
-                };
-                for p in &res.value.paths {
-                    out.push_str(&p.render(g.labeled()));
-                    out.push('\n');
+            let gov = Governor::new(&budget);
+            let res = match match &resume {
+                Some(cursor) => enumerate_paths_resumed(&view, &expr, cursor, &gov),
+                None => enumerate_paths_governed(&view, &expr, k, &gov),
+            } {
+                Ok(res) => res,
+                // Exhausted before the enumerator was built: empty
+                // partial (no cursor — there is nothing to resume).
+                Err(EvalError::Interrupted(why)) => {
+                    out.push_str(&format!("# partial: {why}\n"));
+                    return Ok(out);
                 }
-                if let Some(cursor) = &res.value.cursor {
-                    out.push_str(&format!("# cursor: {cursor}\n"));
-                }
-                completion_marker(&mut out, &res);
-            } else {
-                for p in enumerate_paths(&view, &expr, k) {
-                    out.push_str(&p.render(g.labeled()));
-                    out.push('\n');
-                }
+                Err(e) => return Err(e.to_string()),
+            };
+            for p in &res.value.paths {
+                out.push_str(&p.render(g.labeled()));
+                out.push('\n');
             }
+            if let Some(cursor) = &res.value.cursor {
+                out.push_str(&format!("# cursor: {cursor}\n"));
+            }
+            res.write_trailer(&mut out);
         }
         "sample" => {
             let k: usize = rest
@@ -351,20 +304,13 @@ fn cmd_cypher(args: &[String]) -> Result<String, String> {
     let cache = QueryCache::from_env();
     let verbose = rest.iter().any(|a| a == "--verbose");
     let mut out = String::new();
-    if let Some(b) = budget_from(rest)? {
-        let gov = Governor::new(&b);
-        let res = cypher::execute_governed(&g, &q, &cache, &gov).map_err(|e| e.to_string())?;
-        for row in &res.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        completion_marker(&mut out, &res);
-    } else {
-        for row in cypher::execute_cached(&g, &q, &cache) {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
+    let gov = Governor::new(&budget_from(rest)?);
+    let res = cypher::execute_governed(&g, &q, &cache, &gov).map_err(|e| e.to_string())?;
+    for row in &res.value {
+        out.push_str(&row.join("\t"));
+        out.push('\n');
     }
+    res.write_trailer(&mut out);
     if verbose {
         eprintln!("cache: {}", cache.stats());
     }
@@ -432,15 +378,21 @@ fn cmd_rdf(args: &[String]) -> Result<String, String> {
         Some("path") => {
             let expr = rest.get(1).ok_or("path needs EXPR")?;
             let mut out = String::new();
-            for (a, b) in rdf::rpq_pairs(&st, expr).map_err(|e| e.to_string())? {
+            let res =
+                rdf::rpq_pairs(&st, expr, &Governor::unlimited()).map_err(|e| e.to_string())?;
+            for (a, b) in &res.value {
                 out.push_str(&format!("{a}\t{b}\n"));
             }
             Ok(out)
         }
         Some("select") => {
-            let q = rest.get(1).ok_or("select needs a query")?;
+            let text = rest.get(1).ok_or("select needs a query")?;
+            let q = rdf::parse_select(text, &mut st).map_err(|e| e.to_string())?;
+            let sk = rdf::StoreSketch::build(&st);
+            let res = rdf::select_governed_with(&st, &q, Some(&sk), &Governor::unlimited())
+                .map_err(|e| e.to_string())?;
             let mut out = String::new();
-            for row in rdf::select(&mut st, q).map_err(|e| e.to_string())? {
+            for row in &res.rows.value {
                 out.push_str(&row.join("\t"));
                 out.push('\n');
             }
@@ -471,44 +423,22 @@ fn cmd_sparql(args: &[String]) -> Result<String, String> {
     if rest.iter().any(|a| a == "--explain") {
         return rdf::explain_select(&mut st, query).map_err(|e| e.to_string());
     }
-    let mut out = String::new();
-    if rest.iter().any(|a| a == "--count") {
+    let mut q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
+    if rest.iter().any(|a| a == "--count") && q.count.is_none() {
         // Count surface: exact under budget, XOR-hash estimate past it
         // (the `# degraded` marker flags the estimate).
-        let mut q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
-        if q.count.is_none() {
-            q.count = Some("count".to_owned());
-            q.vars.clear();
-        }
-        let budget = budget_from(rest)?.unwrap_or_default();
-        let gov = Governor::new(&budget);
-        let sk = rdf::StoreSketch::build(&st);
-        let res = rdf::select_governed_with(&st, &q, Some(&sk), &gov).map_err(|e| e.to_string())?;
-        for row in &res.rows.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        completion_marker(&mut out, &res.rows);
-        return Ok(out);
+        q.count = Some("count".to_owned());
+        q.vars.clear();
     }
-    match budget_from(rest)? {
-        Some(budget) => {
-            let q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
-            let gov = Governor::new(&budget);
-            let res = rdf::select_governed(&st, &q, &gov).map_err(|e| e.to_string())?;
-            for row in &res.value {
-                out.push_str(&row.join("\t"));
-                out.push('\n');
-            }
-            completion_marker(&mut out, &res);
-        }
-        None => {
-            for row in rdf::select(&mut st, query).map_err(|e| e.to_string())? {
-                out.push_str(&row.join("\t"));
-                out.push('\n');
-            }
-        }
+    let gov = Governor::new(&budget_from(rest)?);
+    let sk = rdf::StoreSketch::build(&st);
+    let res = rdf::select_governed_with(&st, &q, Some(&sk), &gov).map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    for row in &res.rows.value {
+        out.push_str(&row.join("\t"));
+        out.push('\n');
     }
+    res.rows.write_trailer(&mut out);
     Ok(out)
 }
 
@@ -703,7 +633,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     let cfg = kgq_serve::ServerConfig {
         addr: format!("127.0.0.1:{}", flag(rest, "--port", 0)),
         workers: flag(rest, "--workers", 4),
-        caps: budget_from(rest)?.unwrap_or_default(),
+        caps: budget_from(rest)?,
     };
     let handle = kgq_serve::serve_with_store(g, st, durable, cfg).map_err(|e| e.to_string())?;
     println!("listening on {}", handle.addr());
@@ -836,29 +766,21 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
             match op {
                 "pairs" => {
                     let res = ev
-                        .pairs_governed(
-                            sources,
-                            chunks,
-                            &Governor::new(&budget.unwrap_or_default()),
-                        )
+                        .pairs_governed(sources, chunks, &Governor::new(&budget))
                         .map_err(|e| e.to_string())?;
                     for (s, t) in &res.value {
                         out.push_str(&format!("{s}\t{t}\n"));
                     }
-                    completion_marker(&mut out, &res);
+                    res.write_trailer(&mut out);
                 }
                 "starts" => {
                     let res = ev
-                        .matching_starts_governed(
-                            sources,
-                            chunks,
-                            &Governor::new(&budget.unwrap_or_default()),
-                        )
+                        .matching_starts_governed(sources, chunks, &Governor::new(&budget))
                         .map_err(|e| e.to_string())?;
                     for s in &res.value {
                         out.push_str(&format!("{s}\n"));
                     }
-                    completion_marker(&mut out, &res);
+                    res.write_trailer(&mut out);
                 }
                 other => return Err(format!("unknown scale query op `{other}`")),
             }
@@ -882,20 +804,13 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
             let chunks = flag(more, "--chunks", kgq::core::parallel::effective_threads());
             let budget = budget_from(more)?;
             let adj = PackedAdjacency(view);
-            let res = triangle_count(
-                &adj,
-                labels,
-                arange,
-                chunks,
-                &Governor::new(&budget.unwrap_or_default()),
-                10,
-            )
-            .map_err(|e| e.to_string())?;
+            let res = triangle_count(&adj, labels, arange, chunks, &Governor::new(&budget), 10)
+                .map_err(|e| e.to_string())?;
             let mut out = format!("{} triangles\n", res.value.count);
             for (a, b, c) in &res.value.sample {
                 out.push_str(&format!("{a}\t{b}\t{c}\n"));
             }
-            completion_marker(&mut out, &res);
+            res.write_trailer(&mut out);
             Ok(out)
         }
         other => Err(format!(

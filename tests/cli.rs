@@ -138,22 +138,43 @@ fn rdf_path_and_infer() {
 
 #[test]
 fn unlimited_govern_flags_do_not_change_results() {
+    // Every command runs one governed path: no flag means an unlimited
+    // governor, so a generous budget must be byte-invisible everywhere.
     let path = generated_contact();
     let p = path.to_str().unwrap();
+    let nt = temp_graph(
+        "unlimited.nt",
+        "<a> <knows> <b> .\n<b> <knows> <c> .\n<c> <knows> <a> .\n<a> <type> <P> .\n",
+    );
+    let n = nt.to_str().unwrap();
     let expr = "?person/rides/?bus/rides^-/?infected";
-    let plain = stdout(&run(&["query", p, expr, "pairs"]));
-    let governed = stdout(&run(&[
-        "query",
-        p,
-        expr,
-        "pairs",
-        "--timeout",
-        "60000",
-        "--max-steps",
-        "1000000000",
-    ]));
-    assert_eq!(plain, governed, "a generous budget must be invisible");
-    assert!(!governed.contains("# partial"));
+    let star = "?person/(contact+lives)*";
+    let bgp = "SELECT ?x ?y WHERE { ?x <knows> ?y . ?y <knows> ?z . }";
+    let cases: [&[&str]; 7] = [
+        &["query", p, expr, "pairs"],
+        &["query", p, star, "starts"],
+        &["query", p, star, "count", "3"],
+        &["query", p, star, "enumerate", "2"],
+        &[
+            "cypher",
+            p,
+            "MATCH (p:person)-[:rides]->(b:bus) RETURN p, b",
+        ],
+        &["sparql", n, bgp],
+        &["sparql", n, bgp, "--count"],
+    ];
+    for case in cases {
+        let plain = stdout(&run(case));
+        let mut flagged = case.to_vec();
+        flagged.extend(["--timeout", "60000", "--max-steps", "1000000000"]);
+        let governed = stdout(&run(&flagged));
+        assert_eq!(
+            plain, governed,
+            "a generous budget must be invisible: {case:?}"
+        );
+        assert!(!governed.contains("# partial"), "{case:?}");
+        assert!(!governed.is_empty(), "{case:?} should have answers");
+    }
 }
 
 #[test]
@@ -321,6 +342,23 @@ fn analyzer_short_circuits_are_visible_and_results_unchanged() {
     // A provably-empty query prints nothing and reports the skipped
     // compilation in the verbose cache stats.
     let out = run(&["query", p, "ghost", "pairs", "--verbose"]);
+    assert!(out.status.success());
+    assert!(out.stdout.is_empty(), "expected no pairs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("short_circuits=1"), "{err}");
+    assert!(err.contains("misses=0"), "{err}");
+
+    // The same short-circuit holds under a budget: the budgeted run
+    // takes the one governed path and compiles nothing either.
+    let out = run(&[
+        "query",
+        p,
+        "ghost",
+        "pairs",
+        "--verbose",
+        "--max-steps",
+        "1000000000",
+    ]);
     assert!(out.status.success());
     assert!(out.stdout.is_empty(), "expected no pairs");
     let err = String::from_utf8_lossy(&out.stderr);

@@ -1,12 +1,23 @@
 //! Cross-model integration: the three data models and the RDF
 //! correspondence answer equivalent queries identically.
 
-use kgq::core::{eval_pairs, parse_expr, LabeledView, PropertyView, VectorView};
+use kgq::core::{
+    parse_expr, Evaluator, Governor, LabeledView, PathExpr, PathGraph, PropertyView, VectorView,
+};
 use kgq::graph::convert::{property_to_vector, vector_to_property};
 use kgq::graph::figures::{figure2_labeled, figure2_property, figure2_vector};
 use kgq::graph::generate::{contact_network, ContactParams};
 use kgq::graph::io::{read_property, write_property};
+use kgq::graph::NodeId;
 use kgq::rdf::{labeled_to_rdf, parse_ntriples, rdf_to_labeled, write_ntriples};
+
+/// All `(start, end)` pairs through the governed entry point, with no
+/// budget.
+fn pairs_of<G: PathGraph>(g: &G, expr: &PathExpr) -> Vec<(NodeId, NodeId)> {
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(g, expr, &gov).unwrap();
+    ev.pairs_governed(&gov).unwrap().value
+}
 
 #[test]
 fn label_queries_agree_across_all_three_models() {
@@ -22,9 +33,9 @@ fn label_queries_agree_across_all_three_models() {
         let e1 = parse_expr(text, lg.consts_mut()).unwrap();
         let e2 = parse_expr(text, pg.labeled_mut().consts_mut()).unwrap();
         let e3 = parse_expr(text, vg.consts_mut()).unwrap();
-        let a = eval_pairs(&LabeledView::new(&lg), &e1);
-        let b = eval_pairs(&PropertyView::new(&pg), &e2);
-        let c = eval_pairs(&VectorView::new(&vg), &e3);
+        let a = pairs_of(&LabeledView::new(&lg), &e1);
+        let b = pairs_of(&PropertyView::new(&pg), &e2);
+        let c = pairs_of(&VectorView::new(&vg), &e3);
         assert_eq!(a, b, "{text}: labeled vs property");
         assert_eq!(a, c, "{text}: labeled vs vector (f1 fallback)");
     }
@@ -38,13 +49,13 @@ fn property_and_feature_tests_agree_after_vectorization() {
         pg.labeled_mut().consts_mut(),
     )
     .unwrap();
-    let prop_answers = eval_pairs(&PropertyView::new(&pg), &e_prop);
+    let prop_answers = pairs_of(&PropertyView::new(&pg), &e_prop);
 
     let mut vg = property_to_vector(&pg).unwrap();
     let date_col = vg.feature_names().iter().position(|n| n == "date").unwrap() + 1;
     let text = format!("?[#1=person]/{{[#1=contact] & [#{date_col}='3/4/21']}}/?[#1=infected]");
     let e_feat = parse_expr(&text, vg.consts_mut()).unwrap();
-    let feat_answers = eval_pairs(&VectorView::new(&vg), &e_feat);
+    let feat_answers = pairs_of(&VectorView::new(&vg), &e_feat);
     assert_eq!(prop_answers, feat_answers);
     assert!(!prop_answers.is_empty(), "expression (3) has an answer");
 }
@@ -79,11 +90,11 @@ fn full_round_trip_text_vector_rdf() {
     let mut lg2 = rdf_to_labeled(&st2).unwrap();
     let e1 = parse_expr("?person/rides/?bus/rides^-/?infected", lg.consts_mut()).unwrap();
     let e2 = parse_expr("?person/rides/?bus/rides^-/?infected", lg2.consts_mut()).unwrap();
-    let a1: Vec<String> = eval_pairs(&LabeledView::new(&lg), &e1)
+    let a1: Vec<String> = pairs_of(&LabeledView::new(&lg), &e1)
         .into_iter()
         .map(|(s, t)| format!("{}->{}", lg.node_name(s), lg.node_name(t)))
         .collect();
-    let mut a2: Vec<String> = eval_pairs(&LabeledView::new(&lg2), &e2)
+    let mut a2: Vec<String> = pairs_of(&LabeledView::new(&lg2), &e2)
         .into_iter()
         .map(|(s, t)| format!("{}->{}", lg2.node_name(s), lg2.node_name(t)))
         .collect();

@@ -3,14 +3,40 @@
 
 use kgq::analytics::{bc_r_exact, betweenness};
 use kgq::core::{
-    count_paths, count_paths_naive, enumerate_paths, matching_starts, parse_expr, Evaluator,
-    LabeledView, Nfa, Product, UniformSampler,
+    count_paths_governed, count_paths_naive, enumerate_paths_governed, parse_expr, Budget,
+    CancelToken, CountOutcome, EvalError, Evaluator, Governor, LabeledView, Nfa, Path, PathExpr,
+    PathGraph, Product, UniformSampler,
 };
 use kgq::gnn::builder::{psi_network, PSI_VOCAB};
 use kgq::gnn::AcGnn;
 use kgq::graph::generate::{contact_network, gnm_labeled, ContactParams};
+use kgq::graph::NodeId;
 use kgq::logic::{compile_fo2, eval_bounded, eval_naive, Var};
 use kgq::relbase::rpq_join_pairs;
+
+/// `Count(G, r, k)` through the governed entry point, with no budget.
+fn count_exact<G: PathGraph + Sync>(g: &G, expr: &PathExpr, k: usize) -> Result<u128, EvalError> {
+    match count_paths_governed(g, expr, k, &Budget::unlimited(), CancelToken::new())?.value {
+        CountOutcome::Exact(c) => Ok(c),
+        other => panic!("unlimited count degraded to {other}"),
+    }
+}
+
+/// All length-`k` answers through the governed entry point, with no
+/// budget.
+fn enumerate_all<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> Vec<Path> {
+    let res = enumerate_paths_governed(g, expr, k, &Governor::unlimited()).unwrap();
+    assert!(!res.is_partial());
+    res.value.paths
+}
+
+/// Nodes starting a matching path, through the governed entry point,
+/// with no budget.
+fn starts_of<G: PathGraph>(g: &G, expr: &PathExpr) -> Vec<NodeId> {
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(g, expr, &gov).unwrap();
+    ev.matching_starts_governed(&gov).unwrap().value
+}
 
 #[test]
 fn counting_stack_is_internally_consistent() {
@@ -20,9 +46,9 @@ fn counting_stack_is_internally_consistent() {
             let expr = parse_expr(text, g.consts_mut()).unwrap();
             let view = LabeledView::new(&g);
             for k in 0..=4usize {
-                let exact = count_paths(&view, &expr, k).unwrap();
+                let exact = count_exact(&view, &expr, k).unwrap();
                 assert_eq!(exact, count_paths_naive(&view, &expr, k), "{text} k={k}");
-                let enumerated = enumerate_paths(&view, &expr, k);
+                let enumerated = enumerate_all(&view, &expr, k);
                 assert_eq!(enumerated.len() as u128, exact, "{text} k={k}");
                 let sampler = UniformSampler::new(&view, &expr, k).unwrap();
                 assert_eq!(sampler.total(), exact, "{text} k={k}");
@@ -53,7 +79,7 @@ fn four_engines_agree_on_node_extraction() {
 
         // 1. RPQ product engine.
         let view = LabeledView::new(&g);
-        let rpq = matching_starts(&view, &expr);
+        let rpq = starts_of(&view, &expr);
 
         // 2. FO² pipeline + naive evaluation.
         let psi = compile_fo2(&expr).unwrap();
@@ -121,7 +147,7 @@ fn parallel_edges_multiply_paths_not_brandes() {
     g.add_edge("e3", x, b, "p").unwrap();
     let expr = parse_expr("p/p", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
-    assert_eq!(count_paths(&view, &expr, 2).unwrap(), 2);
+    assert_eq!(count_exact(&view, &expr, 2).unwrap(), 2);
     let star = parse_expr("(p)*", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
     let bcr = bc_r_exact(&view, &star);
@@ -138,8 +164,9 @@ fn witnesses_are_shortest_and_valid() {
     let mut g = pg.into_labeled();
     let expr = parse_expr("?person/rides/?bus/rides^-/?infected", g.consts_mut()).unwrap();
     let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &expr);
-    for (a, b) in ev.pairs() {
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(&view, &expr, &gov).unwrap();
+    for (a, b) in ev.pairs_governed(&gov).unwrap().value {
         let w = ev.shortest_witness(a, b).expect("pair implies witness");
         assert_eq!(w.start, a);
         assert_eq!(w.end(&view), Some(b));

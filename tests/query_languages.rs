@@ -2,11 +2,35 @@
 //! language (RPQ), SPARQL-style BGPs, Cypher-style MATCH, first-order
 //! logic and relational algebra all agree.
 
-use kgq::core::{eval_pairs, parse_expr, LabeledView, PropertyView};
-use kgq::cypher::{execute, parse_query};
+use kgq::core::{
+    parse_expr, Evaluator, Governor, LabeledView, PathExpr, PathGraph, PropertyView, QueryCache,
+};
+use kgq::cypher::{execute_governed, parse_query, Query, Row};
 use kgq::graph::generate::{contact_network, ContactParams};
-use kgq::rdf::{labeled_to_rdf, Bgp, RDF_TYPE};
+use kgq::graph::{NodeId, PropertyGraph};
+use kgq::rdf::{labeled_to_rdf, lftj, Bgp, Binding, TripleStore, RDF_TYPE};
 use kgq::relbase::rpq_join_pairs;
+
+/// All `(start, end)` pairs through the governed entry point, with no
+/// budget.
+fn pairs_of<G: PathGraph>(g: &G, expr: &PathExpr) -> Vec<(NodeId, NodeId)> {
+    let gov = Governor::unlimited();
+    let ev = Evaluator::new_governed(g, expr, &gov).unwrap();
+    ev.pairs_governed(&gov).unwrap().value
+}
+
+/// Cypher rows through the governed entry point, with no budget.
+fn cypher_rows(g: &PropertyGraph, q: &Query) -> Vec<Row> {
+    let res = execute_governed(g, q, &QueryCache::new(), &Governor::unlimited()).unwrap();
+    res.value
+}
+
+/// BGP bindings by the leapfrog triejoin, with no budget.
+fn bgp_bindings(bgp: &Bgp, st: &TripleStore) -> Vec<Binding> {
+    let plan = lftj::plan(st, bgp);
+    let res = lftj::solve_planned_governed(st, bgp, &plan, 1, &Governor::unlimited()).unwrap();
+    res.value.bindings()
+}
 
 #[test]
 fn exposure_query_in_four_languages() {
@@ -26,7 +50,7 @@ fn exposure_query_in_four_languages() {
     )
     .unwrap();
     let view = PropertyView::new(&g);
-    let mut rpq: Vec<(String, String)> = eval_pairs(&view, &expr)
+    let mut rpq: Vec<(String, String)> = pairs_of(&view, &expr)
         .into_iter()
         .map(|(a, b)| {
             (
@@ -42,7 +66,7 @@ fn exposure_query_in_four_languages() {
     let q =
         parse_query("MATCH (p:person)-[:rides]->(b:bus), (i:infected)-[:rides]->(b) RETURN p, i")
             .unwrap();
-    let mut cypher: Vec<(String, String)> = execute(&pg, &q)
+    let mut cypher: Vec<(String, String)> = cypher_rows(&pg, &q)
         .into_iter()
         .map(|row| (row[0].clone(), row[1].clone()))
         .collect();
@@ -57,8 +81,7 @@ fn exposure_query_in_four_languages() {
     bgp.add(&mut st, "?b", RDF_TYPE, "bus");
     bgp.add(&mut st, "?p", "rides", "?b");
     bgp.add(&mut st, "?i", "rides", "?b");
-    let mut sparql: Vec<(String, String)> = bgp
-        .solve(&st)
+    let mut sparql: Vec<(String, String)> = bgp_bindings(&bgp, &st)
         .into_iter()
         .map(|b| {
             (
@@ -101,7 +124,7 @@ fn property_conditions_agree_between_cypher_and_rpq() {
     )
     .unwrap();
     let view = PropertyView::new(&g);
-    let mut rpq: Vec<(String, String)> = eval_pairs(&view, &expr)
+    let mut rpq: Vec<(String, String)> = pairs_of(&view, &expr)
         .into_iter()
         .map(|(a, b)| {
             (
@@ -116,7 +139,7 @@ fn property_conditions_agree_between_cypher_and_rpq() {
         "MATCH (p:person)-[c:contact]->(i:infected) WHERE c.date = '3/4/21' RETURN p, i",
     )
     .unwrap();
-    let mut cypher: Vec<(String, String)> = execute(&pg, &q)
+    let mut cypher: Vec<(String, String)> = cypher_rows(&pg, &q)
         .into_iter()
         .map(|row| (row[0].clone(), row[1].clone()))
         .collect();
@@ -132,10 +155,10 @@ fn labeled_view_also_supports_rpq_against_cypher() {
     let mut lg = pg.labeled().clone();
     let expr = parse_expr("?company/owns/?bus", lg.consts_mut()).unwrap();
     let view = LabeledView::new(&lg);
-    let rpq = eval_pairs(&view, &expr);
+    let rpq = pairs_of(&view, &expr);
     assert_eq!(rpq.len(), 1);
 
     let q = parse_query("MATCH (c:company)-[:owns]->(b:bus) RETURN c, b").unwrap();
-    let rows = execute(&pg, &q);
+    let rows = cypher_rows(&pg, &q);
     assert_eq!(rows, vec![vec!["n7".to_owned(), "n3".to_owned()]]);
 }

@@ -38,14 +38,21 @@ fn temp_file(name: &str, contents: &str) -> PathBuf {
 const NT: &str = "<a> <knows> <b> .\n<b> <knows> <c> .\n<c> <knows> <a> .\n\
                   <a> <type> <P> .\n<b> <type> <P> .\n";
 
-/// Boots `kgq serve` on an OS-assigned port; returns the child and the
-/// address parsed from its `listening on ...` line.
+/// Boots `kgq serve` over the seeded contact graph on an OS-assigned
+/// port; returns the child and the address parsed from its `listening
+/// on ...` line.
 fn boot(extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
+    boot_on(
+        &["generate", "contact", "--people", "30", "--seed", "7"],
+        extra,
+    )
+}
+
+/// [`boot`] over the graph that `kgq GENERATE…` prints.
+fn boot_on(generate: &[&str], extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
     let graph = temp_file(
         &format!("graph-{:?}.kgq", std::thread::current().id()),
-        &stdout(&run(&[
-            "generate", "contact", "--people", "30", "--seed", "7",
-        ])),
+        &stdout(&run(generate)),
     );
     let nt = temp_file(&format!("data-{:?}.nt", std::thread::current().id()), NT);
     let mut child = kgq()
@@ -161,5 +168,32 @@ fn server_side_caps_flag_applies_to_all_requests() {
     assert_eq!(got.body.lines().count(), 4); // 3 rows + trailer
     let stats = c.stats().unwrap();
     assert!(stat(&stats, "partials").unwrap() >= 1);
+    stop(child, &addr);
+}
+
+#[test]
+fn blowup_queries_neither_churn_the_cache_nor_determinize() {
+    // No GOVERN flags: the server's caps are unlimited, so only the
+    // failed-minimization check keeps this query out of the shared
+    // cache and off the exact (determinizing) counting rung.
+    let (child, addr, _graph, _nt) = boot_on(
+        &[
+            "generate", "er", "--nodes", "20", "--edges", "80", "--seed", "3",
+        ],
+        &[],
+    );
+    let expr = "(p+q)*/p".to_string() + &"/(p+q)".repeat(13);
+    let mut c = connect(&addr);
+    let pairs = c.rpq("pairs", &expr, &Caps::none()).unwrap();
+    assert!(pairs.ok && !pairs.body.is_empty(), "{}", pairs.body);
+    let count = c.rpq("count 16", &expr, &Caps::none()).unwrap();
+    assert!(count.ok, "{}", count.body);
+    assert!(count.body.contains("# degraded:"), "{}", count.body);
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "cache_len"), Some(0), "{stats}");
+    assert!(
+        stat(&stats, "cache_short_circuits").unwrap_or(0) > 0,
+        "{stats}"
+    );
     stop(child, &addr);
 }

@@ -51,7 +51,7 @@ const UNWRAP_BASELINE: &[(&str, usize)] = &[
     ("crates/bench/src/bin/exp_fig2.rs", 4),
     ("crates/bench/src/bin/exp_fpras.rs", 2),
     ("crates/bench/src/bin/exp_gen.rs", 3),
-    ("crates/bench/src/bin/exp_govern.rs", 11),
+    ("crates/bench/src/bin/exp_govern.rs", 5),
     ("crates/bench/src/bin/exp_joins.rs", 4),
     ("crates/bench/src/bin/exp_kernel.rs", 3),
     ("crates/bench/src/bin/exp_logic.rs", 3),
@@ -592,31 +592,32 @@ fn serve_lock_acquisitions_follow_the_rank_order() {
 ///
 /// - CLI subcommands in `src/main.rs` either call an analyzer directly
 ///   or route through library evaluators that do;
-/// - the engine evaluators (`kgq-rdf`, `kgq-cypher`, `kgq-logic`)
-///   consult their analyzers on every governed and ungoverned path the
-///   CLI and server reach;
-/// - the LFTJ executor independently re-verifies planner output;
+/// - the engine evaluators (`kgq-rdf`, `kgq-cypher`, `kgq-logic`) —
+///   one governed entry point per operation — consult their analyzers
+///   on every path the CLI and server reach;
+/// - the LFTJ solve and count paths independently re-verify planner
+///   output;
 /// - the server executor analyzes every query verb it dispatches.
 const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
-    ("src/main.rs", "cmd_query", &["analyze_expr("]),
+    (
+        "src/main.rs",
+        "cmd_query",
+        &["analyze_expr(", "is_provably_empty("],
+    ),
     (
         "src/main.rs",
         "cmd_cypher",
-        &["analyze_query(", "execute_cached(", "execute_governed("],
+        &["analyze_query(", "execute_governed("],
     ),
     (
         "src/main.rs",
         "cmd_sparql",
-        &[
-            "rdf::explain_select(",
-            "rdf::select(",
-            "rdf::select_governed(",
-        ],
+        &["rdf::explain_select(", "rdf::select_governed_with("],
     ),
     (
         "src/main.rs",
         "cmd_rdf",
-        &["rdf::rpq_pairs(", "rdf::select("],
+        &["rdf::rpq_pairs(", "rdf::select_governed_with("],
     ),
     (
         "src/main.rs",
@@ -630,19 +631,8 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     ),
     (
         "crates/cypher/src/exec.rs",
-        "execute_cached",
-        &["analyze_query("],
-    ),
-    (
-        "crates/cypher/src/exec.rs",
         "execute_governed",
         &["analyze_query("],
-    ),
-    ("crates/rdf/src/sparql.rs", "select", &["analyze_bgp("]),
-    (
-        "crates/rdf/src/sparql.rs",
-        "select_governed",
-        &["select_governed_with("],
     ),
     (
         "crates/rdf/src/sparql.rs",
@@ -656,11 +646,15 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     ),
     ("crates/rdf/src/query.rs", "rpq_pairs", &["analyze_expr("]),
     ("crates/rdf/src/query.rs", "rpq_starts", &["analyze_expr("]),
-    ("crates/rdf/src/lftj.rs", "run", &["verify_plan("]),
     (
-        "crates/logic/src/rules.rs",
-        "fixpoint",
-        &["analyze_program("],
+        "crates/rdf/src/lftj.rs",
+        "solve_planned_governed",
+        &["verify_plan("],
+    ),
+    (
+        "crates/rdf/src/lftj.rs",
+        "count_planned_capped",
+        &["verify_plan("],
     ),
     (
         "crates/logic/src/rules.rs",
